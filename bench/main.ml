@@ -46,15 +46,26 @@ let mean xs =
 (* Every bench JSON records how much GC work its run cost (DESIGN.md
    §17), so allocation regressions show up in the committed artifacts —
    not only in E23's enforced budget.  [gc_mark] brackets the start of
-   an experiment body; [gc_fields] renders the deltas for its JSON. *)
-let gc_baseline = ref (Gc.quick_stat ())
-let gc_mark () = gc_baseline := Gc.quick_stat ()
+   an experiment body; [gc_fields] renders the deltas for its JSON.
+
+   [gc_words] is exact and sums every domain.  [Gc.quick_stat] alone is
+   quantised on OCaml 5: the calling domain's counts only advance at its
+   minor collections, in whole minor heaps.  Forcing a minor collection
+   first brings them up to date, and the counts of joined worker domains
+   are already folded in exactly.  ([Gc.minor_words] sees the calling
+   domain only, and [Gc.counters] undercounts it on OCaml 5.1.) *)
+let gc_words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  (s.Gc.minor_words, s.Gc.major_words)
+
+let gc_baseline = ref (gc_words ())
+let gc_mark () = gc_baseline := gc_words ()
 
 let gc_fields () =
-  let s1 = Gc.quick_stat () and s0 = !gc_baseline in
+  let minor1, major1 = gc_words () and minor0, major0 = !gc_baseline in
   Printf.sprintf "\"gc_minor_words\": %.0f,\n  \"gc_major_words\": %.0f"
-    (s1.Gc.minor_words -. s0.Gc.minor_words)
-    (s1.Gc.major_words -. s0.Gc.major_words)
+    (minor1 -. minor0) (major1 -. major0)
 
 (* ------------------------------------------------------------------ *)
 (* E1: delivery latency in communication steps (2 vs 3)                *)
@@ -1480,13 +1491,13 @@ let e23 () =
     "minor words" "major words" "bytes/step";
   let measure impl =
     ignore (run_once impl 1);  (* warm-up: one-time init is not charged *)
-    let s0 = Gc.quick_stat () in
+    let minor0, major0 = gc_words () in
     let steps =
       List.fold_left (fun acc seed -> acc + run_once impl seed) 0 seeds
     in
-    let s1 = Gc.quick_stat () in
-    let minor = s1.Gc.minor_words -. s0.Gc.minor_words in
-    let major = s1.Gc.major_words -. s0.Gc.major_words in
+    let minor1, major1 = gc_words () in
+    let minor = minor1 -. minor0 in
+    let major = major1 -. major0 in
     let bytes_per_step = minor *. word_bytes /. float_of_int (max 1 steps) in
     row "  %-16s %-10d %-16.0f %-16.0f %-12.1f" (impl_name impl) steps minor
       major bytes_per_step;

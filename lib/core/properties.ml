@@ -38,6 +38,10 @@ type etob_run = {
   e_broadcasts : (time * proc_id * App_msg.t) list;
   (* Per process, the chronological revisions of d_i: (time, sequence). *)
   e_snapshots : (time * App_msg.t list) list array;
+  (* Per process, the last revision's sequence (the final d_i). *)
+  e_final : App_msg.t list array;
+  (* The time of the first broadcast of every broadcast id. *)
+  e_first_broadcast : time App_msg.Id_map.t;
 }
 
 let etob_run_of_trace pattern trace =
@@ -51,13 +55,22 @@ let etob_run_of_trace pattern trace =
        | Etob_intf.Etob_deliver seq -> snapshots.(p) <- (t, seq) :: snapshots.(p)
        | _ -> ())
     (Trace.outputs trace);
+  let broadcasts = List.rev !broadcasts in
+  let first_broadcast =
+    List.fold_left
+      (fun acc (t, _, m) ->
+         let id = App_msg.id m in
+         if App_msg.Id_map.mem id acc then acc else App_msg.Id_map.add id t acc)
+      App_msg.Id_map.empty broadcasts
+  in
   { e_pattern = pattern;
     e_horizon = Trace.last_time trace;
-    e_broadcasts = List.rev !broadcasts;
-    e_snapshots = Array.map List.rev snapshots }
+    e_broadcasts = broadcasts;
+    e_snapshots = Array.map List.rev snapshots;
+    e_final = Array.map (function [] -> [] | (_, seq) :: _ -> seq) snapshots;
+    e_first_broadcast = first_broadcast }
 
-let final_d run p =
-  match run.e_snapshots.(p) with [] -> [] | l -> snd (List.nth l (List.length l - 1))
+let final_d run p = run.e_final.(p)
 
 (* d_p(t): the last revision at or before t (initially the empty sequence). *)
 let d_at run p t =
@@ -75,12 +88,41 @@ let broadcasts run = run.e_broadcasts
 
 let horizon run = run.e_horizon
 
-let broadcast_time run m =
-  List.find_map
-    (fun (t, _, m') -> if App_msg.equal m m' then Some t else None)
-    run.e_broadcasts
+let broadcast_time run m = App_msg.Id_map.find_opt (App_msg.id m) run.e_first_broadcast
 
 let str fmt = Format.asprintf fmt
+
+(* Position tables: id -> position of its first occurrence in a sequence
+   (the first occurrence wins).  Keyed through an explicit hash of the
+   (origin, sn) ints, so there is no polymorphic hash at a protocol type,
+   and only ever probed, never iterated. *)
+module Id_tbl = Hashtbl.Make (struct
+    type t = App_msg.id
+    let equal a b = App_msg.compare_id a b = 0
+    let hash ((p, sn) : App_msg.id) =
+      let h = (p * 0x2545F491) lxor (sn * 0x9E3779B9) in
+      h lxor (h lsr 17)
+  end)
+
+let fill_positions tbl seq =
+  Id_tbl.clear tbl;
+  List.iteri
+    (fun i m ->
+       let id = App_msg.id m in
+       if not (Id_tbl.mem tbl id) then Id_tbl.add tbl id i)
+    seq
+
+(* [seq_a]'s messages that occur in [tbl]'s sequence sit at strictly
+   increasing (first) positions there. *)
+let agrees_with tbl seq_a =
+  let rec walk prev = function
+    | [] -> true
+    | m :: rest ->
+      (match Id_tbl.find_opt tbl (App_msg.id m) with
+       | None -> walk prev rest
+       | Some j -> j > prev && walk j rest)
+  in
+  walk (-1) seq_a
 
 (* TOB-Validity: a correct broadcaster eventually stably delivers its own
    message (finite-run form: it is in the broadcaster's final d). *)
@@ -142,18 +184,20 @@ let check_no_duplication run =
    process is in the final d of every correct process. *)
 let check_agreement run =
   let correct = correct_procs run in
+  let finals = List.map (fun q -> (q, App_msg.ids_of_seq (final_d run q))) correct in
   let violations = ref [] in
   List.iter
     (fun p ->
        List.iter
          (fun m ->
+            let id = App_msg.id m in
             List.iter
-              (fun q ->
-                 if not (List.exists (App_msg.equal m) (final_d run q)) then
+              (fun (q, ids) ->
+                 if not (App_msg.Id_set.mem id ids) then
                    violations :=
                      str "agreement: %a in final d_%a but not in final d_%a"
                        App_msg.pp m pp_proc p pp_proc q :: !violations)
-              correct)
+              finals)
          (final_d run p))
     correct;
   of_violations (List.sort_uniq String.compare (List.rev !violations))
@@ -175,58 +219,87 @@ let stability_time run =
     (correct_procs run);
   !tau
 
-(* Relative order of the common messages of two sequences agrees. *)
+(* Relative order of the common messages of two sequences agrees.
+   Asymmetric under a duplicate id in [seq_a]: [x;y;x] against [x;y]
+   revisits position 0 and fails, while [x;y] against [x;y;x] holds. *)
 let orders_agree seq_a seq_b =
-  let index seq = List.mapi (fun i m -> (App_msg.id m, i)) seq in
-  let ia = index seq_a and ib = index seq_b in
-  let common = List.filter (fun (id, _) -> List.mem_assoc id ib) ia in
-  let rec pairs = function
-    | [] -> true
-    | (id1, i1) :: rest ->
-      List.for_all
-        (fun (id2, i2) ->
-           let j1 = List.assoc id1 ib and j2 = List.assoc id2 ib in
-           Int.compare i1 i2 = Int.compare j1 j2)
-        rest
-      && pairs rest
-  in
-  pairs common
+  let tbl = Id_tbl.create 16 in
+  fill_positions tbl seq_b;
+  agrees_with tbl seq_a
 
 (* The measured ETOB-Total-order time: the earliest tau such that at every
-   event time >= tau, all pairs of correct processes order their common
-   messages consistently. *)
+   revision time >= tau (of any process, faulty ones included), all pairs
+   of correct processes order their common messages consistently.
+
+   One forward sweep over the sorted revision times.  Each correct process
+   keeps a cursor into its revisions (advanced past every revision at or
+   before the current time, so d_p(t) is the last one consumed), its
+   current d_p and that sequence's position table.  At each time only the
+   pairs touching a process whose cursor moved are re-compared; [bad]
+   holds every pair's verdict and [inconsistent] their running count.  A
+   pair (p, q) is compared in one direction only, p before q in
+   [Failures.correct] order, walking d_p against q's table. *)
 let total_order_time run =
   let times =
     List.sort_uniq Int.compare
       (Array.to_list run.e_snapshots |> List.concat_map (List.map fst))
   in
-  let correct = correct_procs run in
-  let consistent_at t =
-    let rec check = function
-      | [] -> true
-      | p :: rest ->
-        List.for_all (fun q -> orders_agree (d_at run p t) (d_at run q t)) rest
-        && check rest
-    in
-    check correct
+  let procs = Array.of_list (correct_procs run) in
+  let k = Array.length procs in
+  let rest = Array.map (fun p -> run.e_snapshots.(p)) procs in
+  let cur = Array.make k [] in
+  let tbl = Array.init k (fun _ -> Id_tbl.create 16) in
+  let revised = Array.make k false in
+  let bad = Array.make_matrix k k false in
+  let inconsistent = ref 0 in
+  let recheck i j =
+    let now_bad = not (agrees_with tbl.(j) cur.(i)) in
+    if now_bad <> bad.(i).(j) then begin
+      bad.(i).(j) <- now_bad;
+      inconsistent := !inconsistent + if now_bad then 1 else -1
+    end
   in
-  List.fold_left (fun tau t -> if consistent_at t then tau else max tau (t + 1)) 0 times
+  (* Consume i's revisions at or before [t]; true iff there was one. *)
+  let rec advance i t moved = function
+    | (t', seq) :: later when t' <= t -> cur.(i) <- seq; advance i t true later
+    | remaining -> rest.(i) <- remaining; moved
+  in
+  List.fold_left
+    (fun tau t ->
+       let moved = ref [] in
+       for i = k - 1 downto 0 do
+         revised.(i) <- advance i t false rest.(i);
+         if revised.(i) then begin
+           fill_positions tbl.(i) cur.(i);
+           moved := i :: !moved
+         end
+       done;
+       List.iter
+         (fun i ->
+            for j = 0 to k - 1 do
+              if j > i then recheck i j
+              else if j < i && not revised.(j) then recheck j i
+            done)
+         !moved;
+       if !inconsistent > 0 then max tau (t + 1) else tau)
+    0 times
 
 (* TOB-Causal-Order: in every d_i(t), every dependency of a message that is
    present appears earlier.  The paper requires this at ALL times for
    Algorithm 5 — no tau. *)
 let check_causal_order run =
+  let positions = Id_tbl.create 16 in
   let violations = ref [] in
   Array.iteri
     (fun p revs ->
        List.iter
          (fun (t, seq) ->
-            let indexed = List.mapi (fun i m -> (App_msg.id m, i)) seq in
+            fill_positions positions seq;
             List.iteri
               (fun i m ->
                  List.iter
                    (fun dep ->
-                      match List.assoc_opt dep indexed with
+                      match Id_tbl.find_opt positions dep with
                       | Some j when j < i -> ()
                       | Some _ ->
                         violations :=

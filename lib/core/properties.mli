@@ -18,15 +18,30 @@ val of_violations : string list -> verdict
 val combine : verdict list -> verdict
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** {2 ETOB runs} *)
+(** {2 ETOB runs}
+
+    Complexity notes use: n processes, R revisions of d_i over all
+    processes, T distinct revision times (T <= R), L the longest delivered
+    sequence, B broadcasts.  Position tables are hash tables keyed by
+    message id, so their lookups count as O(1).  The list-based
+    definitions these checkers replaced are kept in the test suite as a
+    reference oracle (DESIGN.md, "ETOB checkers: complexity and reference
+    oracle"). *)
 
 type etob_run
 
 val etob_run_of_trace : Failures.pattern -> Trace.t -> etob_run
+(** O(trace events + B log B). *)
 
 val final_d : etob_run -> proc_id -> App_msg.t list
+(** The last revision of d_p; O(1). *)
+
 val d_at : etob_run -> proc_id -> time -> App_msg.t list
+(** d_p(t): the last revision of the longest run of p's revisions (in
+    trace order) all at or before [t]; O(revisions of p). *)
+
 val broadcast_time : etob_run -> App_msg.t -> time option
+(** The time of the first broadcast of [m]'s id; O(log B). *)
 
 val revisions : etob_run -> proc_id -> (time * App_msg.t list) list
 (** The chronological revisions of [d_p] — what the liveness watchdog
@@ -41,33 +56,51 @@ val horizon : etob_run -> time
 val correct_procs : etob_run -> proc_id list
 
 val check_validity : etob_run -> verdict
-(** TOB-Validity. *)
+(** TOB-Validity; O(B * L). *)
 
 val check_no_creation : etob_run -> verdict
+(** TOB-No-creation; O(R * L * log B). *)
+
 val check_no_duplication : etob_run -> verdict
+(** TOB-No-duplication; O(R * L * log L). *)
+
 val check_agreement : etob_run -> verdict
+(** TOB-Agreement on the final sequences, one id set per correct process;
+    O(n^2 * L * log L). *)
 
 val stability_time : etob_run -> time
-(** Measured ETOB-Stability tau; [0] means strong TOB-Stability. *)
+(** Measured ETOB-Stability tau; [0] means strong TOB-Stability.
+    O(R * L). *)
 
 val total_order_time : etob_run -> time
-(** Measured ETOB-Total-order tau; [0] means strong TOB-Total-order. *)
+(** Measured ETOB-Total-order tau; [0] means strong TOB-Total-order.  The
+    evaluation times are every process's revision times, faulty ones
+    included; each pair of correct processes is compared one way, earlier
+    in [Failures.correct] order first ({!orders_agree} is asymmetric).
+    One sweep over the sorted times that rebuilds a process's position
+    table only when it is revised and re-compares only the pairs touching
+    it: O(R log R + T * n + R * n * L). *)
 
 val check_causal_order : etob_run -> verdict
-(** TOB-Causal-Order, required at {e all} times. *)
+(** TOB-Causal-Order, required at {e all} times.  One position table per
+    revision: O(R * (L + deps)). *)
 
 val check_deps_present : etob_run -> verdict
 (** Stronger, Algorithm-5-specific property: a delivered message's causal
-    dependencies are themselves delivered. *)
+    dependencies are themselves delivered.  O(R * (L + deps) * log L). *)
 
 val check_distinct_broadcasts : etob_run -> verdict
 (** The paper's standing assumption that broadcast messages are distinct,
     made checkable: no (origin, sn) id is broadcast twice.  A process that
     recovers from a crash with amnesia (lost allocation state) is exactly
-    what breaks it. *)
+    what breaks it.  O(B log B). *)
 
 val orders_agree : App_msg.t list -> App_msg.t list -> bool
-(** Common messages of the two sequences appear in the same relative order. *)
+(** Common messages of the two sequences appear in the same relative
+    order: walking [seq_a], the positions of the first occurrences of its
+    messages in [seq_b] strictly increase.  Asymmetric when [seq_a] holds
+    a duplicate id: [[x;y]] agrees with [[x;y;x]], but [[x;y;x]] does not
+    agree with [[x;y]].  O(|seq_a| + |seq_b|). *)
 
 type etob_report = {
   validity : verdict;
@@ -81,6 +114,8 @@ type etob_report = {
 }
 
 val etob_report : etob_run -> etob_report
+(** Every checker above; O(R log R + T * n + R * n * L) overall, the
+    total-order sweep dominating. *)
 
 val etob_base_ok : etob_report -> bool
 (** The paper's four base TOB properties (validity, no-creation,

@@ -97,8 +97,15 @@ let side ~name ~seed impl =
 
 let max_amplification = 2.0
 
+(* Exact allocation counters: [Gc.quick_stat] alone only advances at minor
+   collections on OCaml 5 (whole minor heaps), so force one first. *)
+let gc_words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  (s.Gc.minor_words, s.Gc.major_words)
+
 let run ?(seed = 42) () =
-  let gc0 = Gc.quick_stat () in
+  let minor0, major0 = gc_words () in
   let etob = side ~name:"etob" ~seed Stacks.Algorithm_5 in
   let paxos = side ~name:"paxos" ~seed Stacks.Paxos_baseline in
   let replay = side ~name:"etob-replay" ~seed Stacks.Algorithm_5 in
@@ -136,13 +143,13 @@ let run ?(seed = 42) () =
                "== first run"
              else "!= " ^ etob.s_outcome.digest) } ]
   in
-  let gc1 = Gc.quick_stat () in
+  let minor1, major1 = gc_words () in
   { etob;
     paxos;
     gates;
     pass = List.for_all (fun g -> g.g_pass) gates;
-    gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
-    gc_major_words = gc1.Gc.major_words -. gc0.Gc.major_words }
+    gc_minor_words = minor1 -. minor0;
+    gc_major_words = major1 -. major0 }
 
 (* ------------------------------------------------------------------ *)
 (* JSON renderers (callers write the files)                            *)

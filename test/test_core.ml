@@ -900,10 +900,248 @@ let test_checker_agreement_flags_missing () =
   Alcotest.(check bool) "flagged: p1 never delivers" false
     (Properties.check_agreement run).Properties.ok
 
+let test_checker_orders_agree_asymmetric () =
+  (* A duplicate id in the walked sequence revisits an earlier position. *)
+  let x = msg 0 0 and y = msg 1 0 in
+  Alcotest.(check bool) "[x;y] against [x;y;x]" true
+    (Properties.orders_agree [ x; y ] [ x; y; x ]);
+  Alcotest.(check bool) "[x;y;x] against [x;y]" false
+    (Properties.orders_agree [ x; y; x ] [ x; y ])
+
+let test_checker_same_tick_revisions () =
+  let a = msg 0 0 and b = msg 1 0 in
+  (* p1 is revised twice at t=10; the later revision [a;b] is d_1(10), so
+     the pair agrees at every time and tau = 0. *)
+  let trace =
+    synthetic_trace
+      [ (10, 0, [ a; b ]); (10, 1, [ b; a ]); (10, 1, [ a; b ]) ]
+      [ (1, 0, a); (1, 1, b) ] ~n:2
+  in
+  let run = Properties.etob_run_of_trace (Failures.none ~n:2) trace in
+  Alcotest.(check int) "last revision wins" 0 (Properties.total_order_time run);
+  Alcotest.(check int) "reference agrees" 0
+    (Properties_ref.total_order_time (Properties_ref.etob_run_of_trace
+                                        (Failures.none ~n:2) trace))
+
+let test_checker_tau_at_faulty_revision () =
+  let a = msg 0 0 and b = msg 1 0 in
+  (* Correct p0 and p1 disagree from t=10 until p1 fixes its order at
+     t=40.  No correct process is revised between, but faulty p2's
+     revision at t=25 is an evaluation time too, so the last inconsistent
+     time is 25, not 10: tau = 26 (11 if faulty times were skipped). *)
+  let pattern = Failures.of_crashes ~n:3 [ (2, 30) ] in
+  let entries fix =
+    [ (10, 0, [ a; b ]); (10, 1, [ b; a ]); (25, 2, [ a ]) ]
+    @ if fix then [ (40, 1, [ a; b ]) ] else []
+  in
+  let tau fix =
+    let trace = synthetic_trace (entries fix) [ (1, 0, a); (1, 1, b) ] ~n:3 in
+    Properties.total_order_time (Properties.etob_run_of_trace pattern trace)
+  in
+  Alcotest.(check int) "tau = faulty revision + 1" 26 (tau false);
+  Alcotest.(check int) "fixed at 40: tau = 26" 26 (tau true)
+
+let test_checker_n30_clean () =
+  (* Alg. 5 at n = 30 under a stable oracle: strong TOB, checked in well
+     under a second by the position-table checkers. *)
+  let n = 30 in
+  let b =
+    { (Harness.Builder.create ~n ~deadline:400
+         ~delay:(Harness.Builder.Uniform { min_d = 1; max_d = 4 })
+         (Harness.Builder.Etob Harness.Stacks.Algorithm_5))
+      with
+      Harness.Builder.workload =
+        Harness.Builder.Posts { count = 40; from_time = 10; every = 5 } }
+  in
+  let trace = Option.get (Harness.Builder.run b).Harness.Builder.trace in
+  let run = Properties.etob_run_of_trace (Failures.none ~n) trace in
+  let report = Properties.etob_report run in
+  Alcotest.(check bool)
+    (Format.asprintf "strong TOB: %a" Properties.pp_etob_report report)
+    true (Properties.is_strong_tob report);
+  check_verdict "causal order" report.Properties.causal_order;
+  Alcotest.(check int) "tau(total order)" 0 report.Properties.tau_total_order;
+  Alcotest.(check int) "all 40 delivered" 40 (List.length (Properties.final_d run 0))
+
+(* --- Fast checkers vs the list-based reference ----------------------- *)
+
+(* The position-table and sweep checkers are trusted because they agree
+   with [Properties_ref], the definition read literally: every verdict and
+   violation string in order, both taus, plus the helpers they rest on. *)
+let checkers_agree pattern trace =
+  let fast = Properties.etob_run_of_trace pattern trace in
+  let slow = Properties_ref.etob_run_of_trace pattern trace in
+  let a = Properties.etob_report fast and b = Properties_ref.etob_report slow in
+  let n = Failures.n pattern in
+  let procs = List.init n Fun.id in
+  let msgs =
+    List.concat_map
+      (fun p -> List.concat_map snd (Properties.revisions fast p))
+      procs
+  in
+  let helpers_agree =
+    List.for_all
+      (fun p ->
+         List.equal App_msg.equal (Properties.final_d fast p)
+           (Properties_ref.final_d slow p)
+         && List.for_all
+           (fun q ->
+              let dp = Properties.final_d fast p and dq = Properties.final_d fast q in
+              Properties.orders_agree dp dq = Properties_ref.orders_agree dp dq)
+           procs)
+      procs
+    && List.for_all
+      (fun m -> Properties.broadcast_time fast m = Properties_ref.broadcast_time slow m)
+      msgs
+  in
+  if a <> b then
+    QCheck.Test.fail_reportf "fast:@.%a@.reference:@.%a"
+      Properties.pp_etob_report a Properties.pp_etob_report b
+  else if not helpers_agree then
+    QCheck.Test.fail_report "final_d / orders_agree / broadcast_time differ"
+  else true
+
+(* Builder runs: every ETOB-output stack, unclamped plans, every
+   Algorithm 5 mutant (the non-Alg. 5 stacks ignore the mutation). *)
+let differential_stacks =
+  Harness.Builder.
+    [ Etob Harness.Stacks.Algorithm_5; Etob Harness.Stacks.Paxos_baseline;
+      Etob Harness.Stacks.Algorithm_1_over_4; Etob_ae; Gossip;
+      Recoverable { ae = true } ]
+
+let differential_builder_gen =
+  let open QCheck.Gen in
+  let* stack = oneofl differential_stacks in
+  let* mutation =
+    oneofl (None :: List.map Option.some Etob_omega.all_mutations)
+  in
+  let* n = int_range 3 6 in
+  let* seed = int_bound 9999 in
+  let* count = int_range 4 10 in
+  let deadline = 240 in
+  let* plan = Qgen.plan_gen ~n ~deadline in
+  return
+    { (Harness.Builder.create ~seed ~n ~deadline
+         ~delay:(Harness.Builder.Uniform { min_d = 1; max_d = 4 }) stack)
+      with
+      Harness.Builder.workload =
+        Harness.Builder.Auto_posts { count; stretch = false };
+      plan; mutation }
+
+let prop_checkers_match_reference_on_runs =
+  QCheck.Test.make ~name:"fast ETOB checkers = reference on builder runs"
+    ~count:200
+    (QCheck.make ~print:Harness.Builder.to_string differential_builder_gen)
+    (fun b ->
+       let o = Harness.Builder.run ~catch:true b in
+       match o.Harness.Builder.trace with
+       | None -> true
+       | Some trace ->
+         checkers_agree (Harness.Builder.setup_of b).Harness.Stacks.pattern trace)
+
+(* Synthetic traces over a tiny message universe: sequences drawn from a
+   shared order (mostly agreeing) or a fresh shuffle (disagreeing, so tau
+   is usually > 0), same-tick and out-of-order revision times, duplicate
+   ids, dependencies pointing anywhere, missing, late and repeated
+   broadcasts, and faulty processes whose revisions only add evaluation
+   times. *)
+type synthetic = {
+  s_n : int;
+  s_crashes : (int * int) list;
+  s_broadcasts : (int * int * App_msg.t) list;
+  s_entries : (int * int * App_msg.t list) list;
+}
+
+let synthetic_gen =
+  let open QCheck.Gen in
+  let* n = int_range 2 5 in
+  let* crashes = Qgen.crash_list_gen ~n ~max_faulty:(n - 1) ~horizon:60 in
+  let ids = List.concat_map (fun o -> List.init 3 (fun sn -> (o, sn))) (List.init n Fun.id) in
+  let* universe =
+    flatten_l
+      (List.map
+         (fun (origin, sn) ->
+            let* deps = list_size (int_bound 2) (oneofl ids) in
+            return (msg origin sn ~deps))
+         ids)
+  in
+  let* base = shuffle_l universe in
+  (* Keep each message with probability 3/5; one time in ten, repeat the
+     first kept one at the end (a duplicate id). *)
+  let subseq order =
+    let* kept =
+      flatten_l
+        (List.map (fun m -> map (fun r -> if r < 3 then [ m ] else []) (int_bound 4))
+           order)
+    in
+    let kept = List.concat kept in
+    let* dup = int_bound 9 in
+    return (match kept with x :: _ when dup = 0 -> kept @ [ x ] | _ -> kept)
+  in
+  let seq_gen =
+    frequency
+      [ (3, subseq base); (2, shuffle_l universe >>= subseq) ]
+  in
+  (* Revision times climb by 0..6 from a start in 0..10 (0 = same tick);
+     one trace in eight takes the raw steps instead, out of order. *)
+  let* unsorted = int_bound 7 in
+  let revisions p =
+    let* count = int_bound 5 in
+    let* steps = list_repeat count (int_bound 6) in
+    let* start = int_bound 10 in
+    let times =
+      if unsorted = 0 then steps
+      else
+        List.rev
+          (snd (List.fold_left (fun (t, acc) d -> (t + d, (t + d) :: acc))
+                  (start, []) steps))
+    in
+    let* seqs = list_repeat count seq_gen in
+    return (List.map2 (fun t seq -> (t, p, seq)) times seqs)
+  in
+  let* entries = flatten_l (List.init n revisions) in
+  let* broadcasts =
+    flatten_l
+      (List.map
+         (fun m ->
+            let* t = int_bound 30 in
+            let* copies = frequencyl [ (1, 0); (8, 1); (1, 2) ] in
+            return (List.init copies (fun c -> (t + c, m.App_msg.origin, m))))
+         universe)
+  in
+  return { s_n = n; s_crashes = crashes; s_broadcasts = List.concat broadcasts;
+           s_entries = List.concat entries }
+
+let print_synthetic s =
+  Format.asprintf "n=%d crashes=[%s]@.broadcasts:%a@.revisions:%a" s.s_n
+    (String.concat ";" (List.map (fun (p, t) -> Printf.sprintf "%d@%d" p t) s.s_crashes))
+    (Fmt.list (fun ppf (t, p, m) -> Fmt.pf ppf " %d:p%d:%a" t p App_msg.pp m))
+    s.s_broadcasts
+    (Fmt.list (fun ppf (t, p, seq) -> Fmt.pf ppf "@. %d p%d %a" t p App_msg.pp_seq seq))
+    s.s_entries
+
+let prop_checkers_match_reference_on_synthetic =
+  QCheck.Test.make ~name:"fast ETOB checkers = reference on synthetic traces"
+    ~count:400
+    (QCheck.make ~print:print_synthetic synthetic_gen)
+    (fun s ->
+       checkers_agree
+         (Qgen.pattern_of_crashes ~n:s.s_n s.s_crashes)
+         (synthetic_trace s.s_entries s.s_broadcasts ~n:s.s_n))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest
       [ prop_linearize_valid; prop_linearize_tie_break_independent;
         prop_linearize_monotone ]
+  in
+  (* Fixed seed: the differential replays the same cases on every run. *)
+  let qc_differential =
+    List.map
+      (fun t ->
+         QCheck_base_runner.set_seed 0x5eed;
+         QCheck_alcotest.to_alcotest ~rand:(QCheck_base_runner.random_state ()) t)
+      [ prop_checkers_match_reference_on_runs;
+        prop_checkers_match_reference_on_synthetic ]
   in
   let qc_runs = List.map QCheck_alcotest.to_alcotest
       [ prop_ec_omega_any_environment; prop_etob_omega_random_runs;
@@ -987,6 +1225,14 @@ let () =
            test_checker_measures_total_order_tau;
          Alcotest.test_case "orders_agree" `Quick test_checker_orders_agree;
          Alcotest.test_case "agreement flags missing" `Quick
-           test_checker_agreement_flags_missing ]);
+           test_checker_agreement_flags_missing;
+         Alcotest.test_case "orders_agree is asymmetric" `Quick
+           test_checker_orders_agree_asymmetric;
+         Alcotest.test_case "same-tick revisions: last wins" `Quick
+           test_checker_same_tick_revisions;
+         Alcotest.test_case "tau at a faulty revision time" `Quick
+           test_checker_tau_at_faulty_revision;
+         Alcotest.test_case "alg5 n=30 checks clean" `Quick test_checker_n30_clean ]);
+      ("checker differential", qc_differential);
       ("random runs", qc_runs);
     ]

@@ -85,13 +85,19 @@ let prop_pqueue_differential =
     (fun cmds -> run_mutable cmds = run_persistent cmds)
 
 (* Model test exercised against BOTH implementations: each matches a
-   stable sorted-list model of the same interleaving. *)
+   stable sorted-list model of the same interleaving.  The model list stays
+   sorted by (prio, seq); an insert walks past every smaller-or-equal
+   entry, O(k) instead of a re-sort. *)
+let rec insert_sorted x = function
+  | y :: rest when compare y x <= 0 -> y :: insert_sorted x rest
+  | l -> x :: l
+
 let sorted_model cmds =
   let pops = ref [] in
   let xs = ref [] in
   List.iteri
     (fun seq (prio, pop_now) ->
-       xs := List.stable_sort compare ((prio, seq) :: !xs);
+       xs := insert_sorted (prio, seq) !xs;
        if pop_now then
          match !xs with
          | [] -> ()
