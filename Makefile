@@ -31,13 +31,15 @@ lint:
 # crash-recovery, and anti-entropy-under-watchdog with message-losing
 # partitions) clean over the budget; every seeded mutant — the four
 # Algorithm 5 bugs, the skip-log-replay amnesia bug and the skip-digest
-# anti-entropy bug — found, shrunk and replayed from its repro file.
-# One finding additionally roundtrips through the builder-spec text form
-# (DESIGN.md §13): found -> spec file -> parsed -> re-run, with the trace
-# digest required to reproduce byte-for-byte.  Shrunk repro and spec
-# files land in _artifacts/smoke/.
+# anti-entropy bug — found, shrunk, written as a builder-spec file
+# (DESIGN.md §13) and replayed from that text, with the trace digest
+# required to reproduce byte-for-byte.  The first Algorithm 5 finding
+# also replays from a framed-binary .trace.bin artifact.  Spec files land
+# in _artifacts/smoke/.  The committed legacy-format repro fixture must
+# still replay through the CLI (REPLAY REPRODUCED, exit 0).
 smoke:
 	dune exec bin/ecsim.exe -- explore --smoke --plans 500 -j 2 --artifacts _artifacts/smoke
+	dune exec bin/ecsim.exe -- explore --replay test/fixtures/legacy_skip_dep.repro
 
 # Long-budget crash-safe soak campaign (DESIGN.md §15): the
 # partition-hardened legs (anti-entropy digests under the convergence

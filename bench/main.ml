@@ -15,12 +15,12 @@ let section id title =
 let row fmt = Printf.printf (fmt ^^ "\n%!")
 
 let oracle ?(pre = Detectors.Omega.Self_trust) stabilize_at =
-  Harness.Scenario.Oracle { stabilize_at; pre }
+  Harness.Stacks.Oracle { stabilize_at; pre }
 
 let impl_name = function
-  | Harness.Scenario.Algorithm_5 -> "ETOB (Alg. 5)"
-  | Harness.Scenario.Paxos_baseline -> "TOB (Paxos)"
-  | Harness.Scenario.Algorithm_1_over_4 -> "ETOB (Alg. 1/4)"
+  | Harness.Stacks.Algorithm_5 -> "ETOB (Alg. 5)"
+  | Harness.Stacks.Paxos_baseline -> "TOB (Paxos)"
+  | Harness.Stacks.Algorithm_1_over_4 -> "ETOB (Alg. 1/4)"
 
 let verdict_mark (v : Properties.verdict) = if v.Properties.ok then "ok" else "VIOLATED"
 let bool_mark b = if b then "yes" else "no"
@@ -80,22 +80,22 @@ let e1 () =
     (fun n ->
        List.iter
          (fun impl ->
-            let setup = { (Harness.Scenario.default ~n ~deadline:600) with
+            let setup = { (Harness.Stacks.default ~n ~deadline:600) with
                           delay = Net.constant delta; omega = oracle 0;
                           timer_period = 1 } in
             (* Warm up (Paxos phase 1), then 8 spaced probes. *)
             let inputs =
-              (10, 0, Harness.Scenario.Post "warmup")
+              (10, 0, Harness.Stacks.Post "warmup")
               :: List.init 8 (fun i ->
                   (60 + (i * 40), (i + 1) mod n,
-                   Harness.Scenario.Post (Printf.sprintf "probe%d" i)))
+                   Harness.Stacks.Post (Printf.sprintf "probe%d" i)))
             in
             let trace = Harness.Scenario.run_etob ~inputs setup impl in
-            let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+            let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
             let lat = mean (probe_latencies trace run) in
             row "  %-4d %-16s %-10d %-14.1f %-12.2f" n (impl_name impl) delta lat
               (lat /. float_of_int delta))
-         [ Harness.Scenario.Algorithm_5; Harness.Scenario.Paxos_baseline ])
+         [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ])
     [ 3; 5; 7 ];
   row "  expected: ETOB ~2.0 steps (+ <=1 tick leader batching), TOB ~3.0 steps"
 
@@ -109,13 +109,13 @@ let e2 () =
   let pattern = Failures.of_crashes ~n:5 [ (2, 50); (3, 50); (4, 50) ] in
   List.iter
     (fun impl ->
-       let setup = { (Harness.Scenario.default ~n:5 ~deadline:400) with
+       let setup = { (Harness.Stacks.default ~n:5 ~deadline:400) with
                      pattern; omega = oracle 0 } in
        let inputs =
-         [ (10, 0, Harness.Scenario.Post "early-1");
-           (20, 1, Harness.Scenario.Post "early-2") ]
+         [ (10, 0, Harness.Stacks.Post "early-1");
+           (20, 1, Harness.Stacks.Post "early-2") ]
          @ List.init 6 (fun i ->
-             (80 + (i * 20), i mod 2, Harness.Scenario.Post (Printf.sprintf "late-%d" i)))
+             (80 + (i * 20), i mod 2, Harness.Stacks.Post (Printf.sprintf "late-%d" i)))
        in
        let trace = Harness.Scenario.run_etob ~inputs setup impl in
        let run = Properties.etob_run_of_trace pattern trace in
@@ -128,7 +128,7 @@ let e2 () =
        row "  %-16s %-22s %-22d" (impl_name impl)
          (Printf.sprintf "%d of 6 post-crash" late_delivered)
          (6 - late_delivered))
-    [ Harness.Scenario.Algorithm_5; Harness.Scenario.Paxos_baseline ];
+    [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ];
   row "  expected: ETOB delivers all post-crash messages, Paxos none (needs majority)"
 
 (* ------------------------------------------------------------------ *)
@@ -145,21 +145,21 @@ let e3 () =
          (fun timer_period ->
             List.iter
               (fun delta_c ->
-                 let setup = { (Harness.Scenario.default ~n:3
+                 let setup = { (Harness.Stacks.default ~n:3
                                   ~deadline:(tau_omega * 3 + 100)) with
                                timer_period;
                                delay = Net.constant delta_c;
                                omega = oracle ~pre:Detectors.Omega.Self_trust
                                    tau_omega } in
                  let inputs =
-                   Harness.Scenario.spread_posts ~n:3 ~count:10 ~from_time:4
+                   Harness.Stacks.spread_posts ~n:3 ~count:10 ~from_time:4
                      ~every:3
                  in
                  let trace =
                    Harness.Scenario.run_etob ~inputs setup
-                     Harness.Scenario.Algorithm_5
+                     Harness.Stacks.Algorithm_5
                  in
-                 let report = Harness.Scenario.etob_report setup trace in
+                 let report = Harness.Stacks.etob_report setup trace in
                  let tau = Properties.etob_convergence_time report in
                  let bound = tau_omega + timer_period + delta_c in
                  row "  %-10d %-8d %-8d %-12d %-8d %-8s" tau_omega timer_period
@@ -176,7 +176,7 @@ let e3 () =
 let partition_setup ~n ~heal =
   let blocks = [ [ 0; 1; 2 ]; [ 3; 4 ] ] in
   let spec = { Net.blocks; from_time = 5; until_time = heal } in
-  { (Harness.Scenario.default ~n ~deadline:(heal * 3)) with
+  { (Harness.Stacks.default ~n ~deadline:(heal * 3)) with
     delay = Net.partitioned spec ~base:(Net.constant 1);
     omega = oracle ~pre:(Detectors.Omega.Blockwise blocks) heal }
 
@@ -188,11 +188,11 @@ let e4 () =
     (fun heal ->
        let setup = partition_setup ~n:5 ~heal in
        let inputs =
-         Harness.Scenario.spread_posts ~n:5 ~count:20 ~from_time:8 ~every:3
+         Harness.Stacks.spread_posts ~n:5 ~count:20 ~from_time:8 ~every:3
        in
        let trace = Harness.Scenario.run_etob ~inputs setup
-           Harness.Scenario.Algorithm_5 in
-       let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+           Harness.Stacks.Algorithm_5 in
+       let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
        let report = Properties.etob_report run in
        row "  %-10d %-18d %-16d %-18d %-12s" heal
          (List.length report.Properties.causal_order.Properties.violations)
@@ -219,19 +219,19 @@ let e5 () =
          (fun impl ->
             List.iter
               (fun (dname, delay) ->
-                 let setup = { (Harness.Scenario.default ~n ~deadline:400) with
+                 let setup = { (Harness.Stacks.default ~n ~deadline:400) with
                                delay; omega = oracle 0 } in
                  let inputs =
-                   Harness.Scenario.spread_posts ~n ~count:12 ~from_time:5 ~every:4
+                   Harness.Stacks.spread_posts ~n ~count:12 ~from_time:5 ~every:4
                  in
                  let trace = Harness.Scenario.run_etob ~inputs setup impl in
-                 let report = Harness.Scenario.etob_report setup trace in
+                 let report = Harness.Stacks.etob_report setup trace in
                  row "  %-4d %-16s %-14s %-12s %-12s" n (impl_name impl) dname
                    (bool_mark (Properties.is_strong_tob report))
                    (bool_mark (Properties.etob_base_ok report)))
               [ ("uniform 1-6", Net.uniform ~min:1 ~max:6) ])
-         [ Harness.Scenario.Algorithm_5; Harness.Scenario.Algorithm_1_over_4;
-           Harness.Scenario.Paxos_baseline ])
+         [ Harness.Stacks.Algorithm_5; Harness.Stacks.Algorithm_1_over_4;
+           Harness.Stacks.Paxos_baseline ])
     [ 3; 5 ];
   row "  expected: strong TOB = yes everywhere"
 
@@ -244,37 +244,37 @@ let e6 () =
   row "  %-22s %-12s %-16s %-18s" "stack" "delivered" "messages sent"
     "msgs per delivery";
   let workload n =
-    Harness.Scenario.spread_posts ~n ~count:12 ~from_time:5 ~every:5
+    Harness.Stacks.spread_posts ~n ~count:12 ~from_time:5 ~every:5
   in
   List.iter
     (fun impl ->
-       let setup = { (Harness.Scenario.default ~n:3 ~deadline:300) with
+       let setup = { (Harness.Stacks.default ~n:3 ~deadline:300) with
                      omega = oracle 10 } in
        let trace = Harness.Scenario.run_etob ~inputs:(workload 3) setup impl in
-       let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+       let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
        let delivered = List.length (Properties.final_d run 0) in
        let sent = Trace.sent trace in
        row "  %-22s %-12d %-16d %-18.1f" (impl_name impl) delivered sent
          (float_of_int sent /. float_of_int (max 1 delivered)))
-    [ Harness.Scenario.Algorithm_5; Harness.Scenario.Algorithm_1_over_4;
-      Harness.Scenario.Paxos_baseline ];
+    [ Harness.Stacks.Algorithm_5; Harness.Stacks.Algorithm_1_over_4;
+      Harness.Stacks.Paxos_baseline ];
   (* EC side: direct Algorithm 4 vs Algorithm 2 over Algorithm 5. *)
   let values self ~instance = Value.Num ((self * 100) + instance) in
   let ec_cost name runner =
-    let setup = { (Harness.Scenario.default ~n:3 ~deadline:600) with
+    let setup = { (Harness.Stacks.default ~n:3 ~deadline:600) with
                   omega = oracle 10 } in
     let trace = runner setup in
-    let run = Properties.ec_run_of_trace setup.Harness.Scenario.pattern trace in
+    let run = Properties.ec_run_of_trace setup.Harness.Stacks.pattern trace in
     let decided = List.length (Properties.decided_instances run) in
     row "  %-22s %-12d %-16d %-18.1f" name decided (Trace.sent trace)
       (float_of_int (Trace.sent trace) /. float_of_int (max 1 decided))
   in
   ec_cost "EC direct (Alg. 4)"
     (fun setup ->
-       Harness.Scenario.run_ec_omega setup ~propose_value:values ~max_instance:20);
+       Harness.Scenario.run_ec setup Harness.Builder.Ec ~propose_value:values ~max_instance:20);
   ec_cost "EC via ETOB (Alg. 2/5)"
     (fun setup ->
-       Harness.Scenario.run_ec_via_etob setup Harness.Scenario.Algorithm_5
+       Harness.Scenario.run_ec setup (Harness.Builder.Ec_via_etob Harness.Stacks.Algorithm_5)
          ~propose_value:values ~max_instance:20);
   row "  expected: transformations correct but costlier than the direct algorithms"
 
@@ -349,15 +349,15 @@ let e8 () =
   List.iter
     (fun tau ->
        let flag self ~instance = Value.Flag ((self + instance) mod 2 = 0) in
-       let setup = { (Harness.Scenario.default ~n:3 ~deadline:500) with
+       let setup = { (Harness.Stacks.default ~n:3 ~deadline:500) with
                      omega = oracle ~pre:Detectors.Omega.Self_trust tau } in
-       let trace = Harness.Scenario.run_eic_over_ec setup ~propose_value:flag
+       let trace = Harness.Scenario.run_ec setup Harness.Builder.Eic ~propose_value:flag
            ~max_instance:60 in
-       let run = Properties.eic_run_of_trace setup.Harness.Scenario.pattern trace in
+       let run = Properties.eic_run_of_trace setup.Harness.Stacks.pattern trace in
        (* Algorithm 7 on top recovers plain EC. *)
-       let trace7 = Harness.Scenario.run_ec_via_eic setup ~propose_value:flag
+       let trace7 = Harness.Scenario.run_ec setup Harness.Builder.Ec_via_eic ~propose_value:flag
            ~max_instance:60 in
-       let run7 = Properties.ec_run_of_trace setup.Harness.Scenario.pattern trace7 in
+       let run7 = Properties.ec_run_of_trace setup.Harness.Stacks.pattern trace7 in
        let report7 = Properties.ec_report run7 ~instances:60 in
        row "  %-14d %-14d %-18d %-16s %-14s" tau
          (Properties.eic_revocation_count run)
@@ -388,22 +388,22 @@ let e9 () =
        let setup = partition_setup ~n:5 ~heal in
        let module R = Replication.Replica.Make (Replication.Machines.Kv) in
        let make_node ctx =
-         let proto_node, service = Harness.Scenario.etob_node setup impl ctx in
+         let proto_node, service = Harness.Stacks.etob_node setup impl ctx in
          let _, replica_node = R.create ctx ~etob:service in
          (Engine.stack [ proto_node; replica_node ], ())
        in
        let trace, _ =
-         Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+         Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
        in
        let run =
-         Replication.Convergence.run_of_trace setup.Harness.Scenario.pattern trace
+         Replication.Convergence.run_of_trace setup.Harness.Stacks.pattern trace
        in
        row "  %-16s %-12s %-16d %-14d %-12d" (impl_name impl)
          (bool_mark (Replication.Convergence.converged run))
          (Replication.Convergence.divergence_ticks ~from_time:10 run)
          (Replication.Convergence.convergence_time run)
          (Replication.Convergence.total_rollbacks run))
-    [ Harness.Scenario.Algorithm_5; Harness.Scenario.Paxos_baseline ];
+    [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ];
   row "  expected: ETOB diverges during the partition, converges shortly after";
   row "  healing, with visible rollbacks; Paxos never diverges (it stalls instead)"
 
@@ -416,22 +416,22 @@ let e11 () =
   row "  %-26s %-12s %-12s %-14s %-14s" "scenario" "delivered" "committed"
     "commit stable" "consistent";
   let scenarios =
-    [ ("stable majority", { (Harness.Scenario.default ~n:5 ~deadline:250) with
+    [ ("stable majority", { (Harness.Stacks.default ~n:5 ~deadline:250) with
                             omega = oracle 0 },
-       Harness.Scenario.spread_posts ~n:5 ~count:10 ~from_time:8 ~every:4);
+       Harness.Stacks.spread_posts ~n:5 ~count:10 ~from_time:8 ~every:4);
       ("minority after t=50",
-       { (Harness.Scenario.default ~n:5 ~deadline:300) with
+       { (Harness.Stacks.default ~n:5 ~deadline:300) with
          pattern = Failures.of_crashes ~n:5 [ (2, 50); (3, 50); (4, 50) ];
          omega = oracle 0 },
-       [ (10, 0, Harness.Scenario.Post "a"); (20, 1, Harness.Scenario.Post "b");
-         (80, 0, Harness.Scenario.Post "c"); (120, 1, Harness.Scenario.Post "d") ]);
+       [ (10, 0, Harness.Stacks.Post "a"); (20, 1, Harness.Stacks.Post "b");
+         (80, 0, Harness.Stacks.Post "c"); (120, 1, Harness.Stacks.Post "d") ]);
       ("partition, heal at 60", partition_setup ~n:5 ~heal:60,
-       Harness.Scenario.spread_posts ~n:5 ~count:10 ~from_time:8 ~every:4) ]
+       Harness.Stacks.spread_posts ~n:5 ~count:10 ~from_time:8 ~every:4) ]
   in
   List.iter
     (fun (name, setup, inputs) ->
        let trace = Harness.Scenario.run_etob_with_commits ~inputs setup in
-       let pattern = setup.Harness.Scenario.pattern in
+       let pattern = setup.Harness.Stacks.pattern in
        let commits = Properties.commit_run_of_trace pattern trace in
        let etob = Properties.etob_run_of_trace pattern trace in
        let p = List.hd (Failures.correct pattern) in
@@ -456,14 +456,14 @@ let e12 () =
   row "  %-20s %-30s %-16s" "omega" "probe latency (ticks)" "convergence tau";
   List.iter
     (fun (name, omega) ->
-       let setup = { (Harness.Scenario.default ~n:3 ~deadline:400) with
+       let setup = { (Harness.Stacks.default ~n:3 ~deadline:400) with
                      delay = Net.constant 2; omega; timer_period = 2 } in
        let inputs =
          List.init 6 (fun i ->
-             (100 + (i * 30), i mod 3, Harness.Scenario.Post (Printf.sprintf "probe%d" i)))
+             (100 + (i * 30), i mod 3, Harness.Stacks.Post (Printf.sprintf "probe%d" i)))
        in
-       let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
-       let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+       let trace = Harness.Scenario.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
+       let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
        let report = Properties.etob_report run in
        let lat =
          match Harness.Stats.of_list (probe_latencies trace run) with
@@ -473,20 +473,20 @@ let e12 () =
        row "  %-20s %-30s %-16d" name lat
          (Properties.etob_convergence_time report))
     [ ("oracle (tau=0)", oracle 0);
-      ("elected (hb=4)", Harness.Scenario.Elected { initial_timeout = 4 }) ];
+      ("elected (hb=4)", Harness.Stacks.Elected { initial_timeout = 4 }) ];
   (* (b) Promote period Delta_t: latency vs message cost. *)
   row "  -- promote period Delta_t (algorithm 5, n=3, delay 2) --";
   row "  %-10s %-30s %-14s" "Delta_t" "probe latency (ticks)" "msgs sent";
   List.iter
     (fun timer_period ->
-       let setup = { (Harness.Scenario.default ~n:3 ~deadline:400) with
+       let setup = { (Harness.Stacks.default ~n:3 ~deadline:400) with
                      delay = Net.constant 2; omega = oracle 0; timer_period } in
        let inputs =
          List.init 6 (fun i ->
-             (100 + (i * 30), i mod 3, Harness.Scenario.Post (Printf.sprintf "probe%d" i)))
+             (100 + (i * 30), i mod 3, Harness.Stacks.Post (Printf.sprintf "probe%d" i)))
        in
-       let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
-       let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+       let trace = Harness.Scenario.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
+       let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
        let lat =
          match Harness.Stats.of_list (probe_latencies trace run) with
          | Some s -> Format.asprintf "%a" Harness.Stats.pp s
@@ -506,18 +506,18 @@ let e12 () =
   List.iter
     (fun (name, tie_break) ->
        let setup = partition_setup ~n:5 ~heal:50 in
-       let omega_of = Harness.Scenario.omega_module setup in
+       let omega_of = Harness.Stacks.omega_module setup in
        let make_node ctx =
          let omega, omega_node = omega_of ctx in
          let t, node = Etob_omega.create ~tie_break ctx ~omega in
          (Engine.stack [ omega_node; node;
-                         Harness.Scenario.post_driver (Etob_omega.service t) ], ())
+                         Harness.Stacks.post_driver (Etob_omega.service t) ], ())
        in
-       let inputs = Harness.Scenario.spread_posts ~n:5 ~count:12 ~from_time:8 ~every:3 in
+       let inputs = Harness.Stacks.spread_posts ~n:5 ~count:12 ~from_time:8 ~every:3 in
        let trace, _ =
-         Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+         Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
        in
-       let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+       let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
        let report = Properties.etob_report run in
        row "  %-16s %-12s %-14s" name
          (bool_mark (Properties.etob_base_ok report))
@@ -532,22 +532,22 @@ let e12 () =
        List.iter
          (fun (gname, stale_guard) ->
             (* Stateful models (fifo) re-instantiate per run on their own. *)
-            let setup = { (Harness.Scenario.default ~n:4 ~deadline:300) with
+            let setup = { (Harness.Stacks.default ~n:4 ~deadline:300) with
                           delay; omega = oracle 0 } in
-            let omega_of = Harness.Scenario.omega_module setup in
+            let omega_of = Harness.Stacks.omega_module setup in
             let make_node ctx =
               let omega, omega_node = omega_of ctx in
               let t, node = Etob_omega.create ~stale_guard ctx ~omega in
               (Engine.stack [ omega_node; node;
-                              Harness.Scenario.post_driver (Etob_omega.service t) ], ())
+                              Harness.Stacks.post_driver (Etob_omega.service t) ], ())
             in
             let inputs =
-              Harness.Scenario.spread_posts ~n:4 ~count:10 ~from_time:5 ~every:4
+              Harness.Stacks.spread_posts ~n:4 ~count:10 ~from_time:5 ~every:4
             in
             let trace, _ =
-              Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+              Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
             in
-            let report = Harness.Scenario.etob_report setup trace in
+            let report = Harness.Stacks.etob_report setup trace in
             row "  %-16s %-10s %-14s %-14s" lname gname
               (bool_mark (Properties.is_strong_tob report))
               (bool_mark (Properties.etob_base_ok report)))
@@ -572,24 +572,24 @@ let e13 () =
          List.concat
            (List.init pairs (fun i ->
                 let t = 10 + (i * 10) in
-                [ (t, 0, Harness.Scenario.Post (Printf.sprintf "a%d" i));
-                  (t, 2, Harness.Scenario.Post (Printf.sprintf "b%d" i)) ]))
+                [ (t, 0, Harness.Stacks.Post (Printf.sprintf "a%d" i));
+                  (t, 2, Harness.Stacks.Post (Printf.sprintf "b%d" i)) ]))
        in
        let deadline = workload_end + 120 in
-       let mk () = { (Harness.Scenario.default ~n:3 ~deadline) with
+       let mk () = { (Harness.Stacks.default ~n:3 ~deadline) with
                      delay = Net.uniform ~min:1 ~max:4; omega = oracle 0 } in
        let setup = mk () in
        let gossip = Harness.Scenario.run_gossip_order ~inputs setup in
        let g_tau =
          (Properties.etob_report
-            (Properties.etob_run_of_trace setup.Harness.Scenario.pattern gossip))
+            (Properties.etob_run_of_trace setup.Harness.Stacks.pattern gossip))
            .Properties.tau_stability
        in
        let setup = mk () in
-       let etob = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
+       let etob = Harness.Scenario.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
        let e_tau =
          (Properties.etob_report
-            (Properties.etob_run_of_trace setup.Harness.Scenario.pattern etob))
+            (Properties.etob_run_of_trace setup.Harness.Stacks.pattern etob))
            .Properties.tau_stability
        in
        row "  %-16d %-18d %-22d %-22d" workload_end pairs g_tau e_tau)
@@ -608,7 +608,7 @@ let e14 () =
   let setup = { (partition_setup ~n:5 ~heal) with deadline = 320 } in
   let module Dual = Replication.Committed_replica.Make (Replication.Machines.Kv) in
   let make_node ctx =
-    let omega, omega_node = Harness.Scenario.omega_module setup ctx in
+    let omega, omega_node = Harness.Stacks.omega_module setup ctx in
     let etob, etob_node = Etob_omega.create ctx ~omega in
     let service = Etob_omega.service etob in
     let replica, replica_node =
@@ -636,7 +636,7 @@ let e14 () =
       [ 0; 3 ]
   in
   let trace, _ =
-    Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+    Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
   in
   row "  %-22s %-14s %-8s %-8s %-8s %-16s" "session" "view" "reads" "RYW"
     "MR" "last violation";
@@ -670,18 +670,18 @@ let e15 () =
   row "  %-16s %-18s %-14s %-10s" "implementation" "mean latency" "stddev" "runs";
   let sweep_impl impl =
     let per_seed ~seed =
-      let setup = { (Harness.Scenario.default ~n ~deadline:600) with
+      let setup = { (Harness.Stacks.default ~n ~deadline:600) with
                     seed;
                     delay = Net.uniform ~min:2 ~max:6; omega = oracle 0;
                     timer_period = 1 } in
       let inputs =
-        (10, 0, Harness.Scenario.Post "warmup")
+        (10, 0, Harness.Stacks.Post "warmup")
         :: List.init 8 (fun i ->
             (60 + (i * 40), (i + 1) mod n,
-             Harness.Scenario.Post (Printf.sprintf "probe%d" i)))
+             Harness.Stacks.Post (Printf.sprintf "probe%d" i)))
       in
       let trace = Harness.Scenario.run_etob ~inputs setup impl in
-      let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+      let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
       mean (probe_latencies trace run)
     in
     let results =
@@ -697,7 +697,7 @@ let e15 () =
   in
   let rows =
     List.map sweep_impl
-      [ Harness.Scenario.Algorithm_5; Harness.Scenario.Paxos_baseline ]
+      [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
   in
   row "  expected: ETOB mean below TOB mean; stddev > 0 under jittered links";
   let json =
@@ -757,7 +757,7 @@ let e16 () =
               let shrunk = Explore.Explorer.shrink (target (Some m)) o in
               row "  %-24s %-10d %-14d %-12d" (Etob_omega.mutation_name m)
                 seed e.Explore.Explorer.plans_run
-                (Explore.Adversity.size shrunk.Explore.Explorer.plan))
+                (Harness.Adversity.size shrunk.Explore.Explorer.plan))
          seeds)
     Etob_omega.all_mutations;
   let control =
@@ -802,21 +802,21 @@ let e17 () =
     "catchup" "replayed" "resent" "lost" "causal" "distinct" "tau";
   let run_row (label, recover_at, fault, mutation) =
     let setup =
-      { (Harness.Scenario.default ~n ~deadline) with
+      { (Harness.Stacks.default ~n ~deadline) with
         delay = Net.uniform ~min:1 ~max:3;
         pattern =
           Failures.crash_recover_at (Failures.none ~n) proc ~at ~recover_at;
         omega = oracle 0 }
     in
     let inputs =
-      Harness.Scenario.spread_posts ~n ~count:12 ~from_time:8 ~every:20
+      Harness.Stacks.spread_posts ~n ~count:12 ~from_time:8 ~every:20
     in
     let stores = Persist.Store.pool ~n in
     Option.iter (fun k -> Persist.Store.arm_fault stores.(proc) k) fault;
     let trace, handles, stores =
       Harness.Scenario.run_recoverable ~inputs ?mutation ~stores setup
     in
-    let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+    let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
     let report = Properties.etob_report run in
     (* Catch-up: delay until the restarted process's first output revision. *)
     let catchup =
@@ -896,7 +896,7 @@ let e18 () =
   let n = 4 and deadline = 240 in
   let from_time = 40 and until_time = 120 in
   let spec = { Net.blocks = [ [ 0; 1; 2 ]; [ 3 ] ]; from_time; until_time } in
-  let inputs = Harness.Scenario.spread_posts ~n ~count:12 ~from_time:8 ~every:8 in
+  let inputs = Harness.Stacks.spread_posts ~n ~count:12 ~from_time:8 ~every:8 in
   let last_post = 8 + (11 * 8) in
   let mode_name = function
     | Anti_entropy.Digest -> "digest"
@@ -908,7 +908,7 @@ let e18 () =
     "heal2cvg" "digests" "deltas" "floods" "payload" "learned" "causal";
   let run_mode mode =
     let setup =
-      { (Harness.Scenario.default ~n ~deadline) with
+      { (Harness.Stacks.default ~n ~deadline) with
         delay = Net.uniform ~min:1 ~max:3;
         faults = Net.lossy_partition spec;
         omega = oracle 0 }
@@ -918,7 +918,7 @@ let e18 () =
         ~ae_config:{ Anti_entropy.default_config with Anti_entropy.mode }
         setup
     in
-    let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+    let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
     let report = Properties.etob_report run in
     let settle = max until_time last_post in
     let converged_at =
@@ -1046,10 +1046,10 @@ let bechamel_suite () =
   let open Bechamel in
   let engine_run n =
     Staged.stage (fun () ->
-        let setup = { (Harness.Scenario.default ~n ~deadline:100) with
+        let setup = { (Harness.Stacks.default ~n ~deadline:100) with
                       omega = oracle 0 } in
-        let inputs = Harness.Scenario.spread_posts ~n ~count:5 ~from_time:5 ~every:4 in
-        ignore (Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5))
+        let inputs = Harness.Stacks.spread_posts ~n ~count:5 ~from_time:5 ~every:4 in
+        ignore (Harness.Scenario.run_etob ~inputs setup Harness.Stacks.Algorithm_5))
   in
   let linearize =
     let msgs =
@@ -1472,15 +1472,15 @@ let e23 () =
   let budget_bytes = 1024.0 in
   let word_bytes = float_of_int (Sys.word_size / 8) in
   let run_once impl seed =
-    let setup = { (Harness.Scenario.default ~n ~deadline:600) with
+    let setup = { (Harness.Stacks.default ~n ~deadline:600) with
                   seed;
                   delay = Net.uniform ~min:2 ~max:6; omega = oracle 0;
                   timer_period = 1 } in
     let inputs =
-      (10, 0, Harness.Scenario.Post "warmup")
+      (10, 0, Harness.Stacks.Post "warmup")
       :: List.init 8 (fun i ->
           (60 + (i * 40), (i + 1) mod n,
-           Harness.Scenario.Post (Printf.sprintf "probe%d" i)))
+           Harness.Stacks.Post (Printf.sprintf "probe%d" i)))
     in
     let trace = Harness.Scenario.run_etob ~inputs setup impl in
     Trace.steps trace
@@ -1505,7 +1505,7 @@ let e23 () =
   in
   let rows =
     List.map measure
-      [ Harness.Scenario.Algorithm_5; Harness.Scenario.Paxos_baseline ]
+      [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
   in
   row "  expected: every implementation within the %.0f bytes/step budget"
     budget_bytes;

@@ -11,7 +11,7 @@
    ([--spec FILE], the stable text form of [Harness.Builder]) — into one
    declarative builder value through a single shared decoder, and every
    run goes through [Builder.run]: the same code path as the test suite,
-   the explorer and recorded repro files, so a run is deterministic in
+   the explorer and recorded spec files, so a run is deterministic in
    its spec. *)
 
 open Simulator
@@ -31,7 +31,7 @@ type scenario = {
 }
 
 let oracle ?(pre = Detectors.Omega.Self_trust) stabilize_at =
-  Harness.Scenario.Oracle { stabilize_at; pre }
+  Harness.Stacks.Oracle { stabilize_at; pre }
 
 let scenarios =
   [ { sc_name = "stable";
@@ -58,7 +58,7 @@ let scenarios =
            let right = List.filter (fun p -> p >= (n + 1) / 2) (Types.all_procs n) in
            { (Builder.create ~seed ~n ~deadline stack) with
              Builder.plan =
-               [ Explore.Adversity.Partition
+               [ Harness.Adversity.Partition
                    { left; from_time = 5; until_time = heal } ];
              omega =
                Some (oracle ~pre:(Detectors.Omega.Blockwise [ left; right ]) heal)
@@ -73,7 +73,7 @@ let scenarios =
                List.filter_map
                  (fun p ->
                     if p >= 2 then
-                      Some (Explore.Adversity.Crash { proc = p; at = deadline / 4 })
+                      Some (Harness.Adversity.Crash { proc = p; at = deadline / 4 })
                     else None)
                  (Types.all_procs n);
              omega = Some (oracle 0) }) };
@@ -87,17 +87,17 @@ let scenarios =
                 ~n ~deadline stack)
              with
              Builder.plan =
-               [ Explore.Adversity.Crash { proc = 0; at = deadline / 2 } ];
-             omega = Some (Harness.Scenario.Elected { initial_timeout = 6 }) })
+               [ Harness.Adversity.Crash { proc = 0; at = deadline / 2 } ];
+             omega = Some (Harness.Stacks.Elected { initial_timeout = 6 }) })
     };
   ]
 
 let find_scenario name = List.find_opt (fun s -> s.sc_name = name) scenarios
 
 let impls =
-  [ ("alg5", Builder.Etob Harness.Scenario.Algorithm_5);
-    ("paxos", Builder.Etob Harness.Scenario.Paxos_baseline);
-    ("alg1", Builder.Etob Harness.Scenario.Algorithm_1_over_4);
+  [ ("alg5", Builder.Etob Harness.Stacks.Algorithm_5);
+    ("paxos", Builder.Etob Harness.Stacks.Paxos_baseline);
+    ("alg1", Builder.Etob Harness.Stacks.Algorithm_1_over_4);
     ("gossip", Builder.Gossip) ]
 
 (* ------------------------------------------------------------------ *)
@@ -216,7 +216,7 @@ let with_seed b seed =
   match b.Builder.base with
   | Builder.Decl d -> { b with Builder.base = Builder.Decl { d with Builder.seed } }
   | Builder.Opaque s ->
-    { b with Builder.base = Builder.Opaque { s with Harness.Scenario.seed } }
+    { b with Builder.base = Builder.Opaque { s with Harness.Stacks.seed } }
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
@@ -228,9 +228,9 @@ let print_report setup trace ~verbose =
     List.iter (fun e -> Format.printf "%a@." Trace.pp_entry e) (Trace.entries trace);
     print_endline "--- end trace ---"
   end;
-  let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.etob_report run in
-  Format.printf "pattern: %a@." Failures.pp setup.Harness.Scenario.pattern;
+  Format.printf "pattern: %a@." Failures.pp setup.Harness.Stacks.pattern;
   Format.printf "messages sent: %d, delivered: %d, dropped: %d@."
     (Trace.sent trace) (Trace.delivered trace) (Trace.dropped trace);
   List.iter
@@ -238,9 +238,9 @@ let print_report setup trace ~verbose =
        Format.printf "final d_p%d (%d msgs): %a@." p
          (List.length (Properties.final_d run p))
          App_msg.pp_seq (Properties.final_d run p))
-    (Failures.correct setup.Harness.Scenario.pattern);
+    (Failures.correct setup.Harness.Stacks.pattern);
   Format.printf "%a@." Properties.pp_etob_report report;
-  (match Harness.Scenario.omega_stabilization setup with
+  (match Harness.Stacks.omega_stabilization setup with
    | Some tau -> Format.printf "tau_Omega=%d, measured convergence tau=%d@." tau
                    (Properties.etob_convergence_time report)
    | None -> Format.printf "measured convergence tau=%d@."
@@ -255,7 +255,7 @@ let execute_report b ~verbose ~timeline =
   let o = Builder.run ~digest:true b in
   let trace = match o.Builder.trace with Some t -> t | None -> assert false in
   if timeline then
-    print_string (Harness.Timeline.render ~pattern:setup.Harness.Scenario.pattern trace);
+    print_string (Harness.Timeline.render ~pattern:setup.Harness.Stacks.pattern trace);
   let report = print_report setup trace ~verbose in
   List.iter (fun v -> Format.printf "spec violation: %s@." v) o.Builder.violations;
   Format.printf "trace digest %s@." o.Builder.digest;
@@ -272,11 +272,11 @@ let list_cmd =
     List.iter (fun (name, stack) ->
         Printf.printf "  %-12s %s\n" name
           (match stack with
-           | Builder.Etob Harness.Scenario.Algorithm_5 ->
+           | Builder.Etob Harness.Stacks.Algorithm_5 ->
              "ETOB directly from Omega (Algorithm 5)"
-           | Builder.Etob Harness.Scenario.Paxos_baseline ->
+           | Builder.Etob Harness.Stacks.Paxos_baseline ->
              "strong TOB from repeated consensus"
-           | Builder.Etob Harness.Scenario.Algorithm_1_over_4 ->
+           | Builder.Etob Harness.Stacks.Algorithm_1_over_4 ->
              "ETOB through the EC transformation (Algorithms 1 + 4)"
            | _ ->
              "leaderless gossip ordering (no Omega; the negative baseline)"))
@@ -388,7 +388,7 @@ let sweep_cmd =
             sink = Some (Sink.tee (Sink.recorder trace) (Sink.counters_sink c)) }
         in
         ignore (Builder.run b);
-        let pattern = (Builder.setup_of b).Harness.Scenario.pattern in
+        let pattern = (Builder.setup_of b).Harness.Stacks.pattern in
         let run = Properties.etob_run_of_trace pattern trace in
         let report = Properties.etob_report run in
         { sw_ok =
@@ -446,8 +446,8 @@ let sweep_cmd =
 
 let pp_explore_outcome (o : Explore.Explorer.outcome) =
   Format.printf "violating plan (%d adversities):@.%a@."
-    (Explore.Adversity.size o.Explore.Explorer.plan)
-    Explore.Adversity.pp o.Explore.Explorer.plan;
+    (Harness.Adversity.size o.Explore.Explorer.plan)
+    Harness.Adversity.pp o.Explore.Explorer.plan;
   List.iter
     (fun v -> Format.printf "  violation: %s@." v)
     o.Explore.Explorer.violations;
@@ -464,19 +464,27 @@ let mkdirs dir =
   in
   go dir
 
+(* A self-contained binary artifact: re-run [b] streaming its events to
+   [path], then append the spec record so the file replays on its own. *)
+let write_trace_bin path b =
+  let o =
+    Builder.run ~digest:true ~catch:true
+      { b with Builder.trace_out = Some (path, Builder.Binary) }
+  in
+  Builder.append_binary_spec path ~digest:o.Builder.digest
+    ~violations:o.Builder.violations b
+
 (* The acceptance gate, CI-sized: the faithful Algorithm 5 (crash-stop and
    crash-recovery alike) survives the whole budget clean, and the explorer
    finds every seeded mutant — protocol bugs and the recovery-path amnesia
    bug — shrinks the finding to at most 3 adversities, and replays it
-   deterministically through a repro-file roundtrip.  One mutant finding
-   additionally makes the round trip through the builder-spec text form
-   (found -> to_lines -> of_lines -> run), which must reproduce the trace
-   digest byte for byte.  When [artifacts] is set, every shrunk finding
-   (and any unexpected faithful flag) is written there, repro and spec
-   files alike, so CI can upload them on failure. *)
+   deterministically from its spec text ([Builder.replay]: the trace digest
+   must reproduce byte for byte).  The first Algorithm 5 finding also
+   travels the binary-artifact leg.  When [artifacts] is set, every shrunk
+   finding (and any unexpected faithful flag) is written there as a .spec
+   file, so CI can upload them on failure. *)
 let explore_smoke ~domains ~budget ~seed ~artifacts =
   let module E = Explore.Explorer in
-  let module R = Explore.Repro in
   let write_artifact name contents =
     match artifacts with
     | None -> ()
@@ -487,14 +495,17 @@ let explore_smoke ~domains ~budget ~seed ~artifacts =
           Out_channel.output_string oc contents);
       Format.printf "  artifact: %s@." path
   in
+  let spec_text target (o : E.outcome) =
+    Builder.to_string ~digest:o.E.digest ~violations:o.E.violations
+      (E.builder_of target ~seed:o.E.seed o.E.plan)
+  in
   let clean_gate label target =
     Format.printf "smoke: faithful %s over %d plans...@." label budget;
     let r = E.explore ~domains target ~seed ~budget ~max_adversities:4 () in
     match r.E.found with
     | Some o ->
       pp_explore_outcome o;
-      write_artifact ("faithful-" ^ label ^ ".repro")
-        (R.to_string (R.of_outcome target o));
+      write_artifact ("faithful-" ^ label ^ ".spec") (spec_text target o);
       Error
         (Printf.sprintf "faithful %s was flagged: explorer or protocol bug"
            label)
@@ -502,6 +513,8 @@ let explore_smoke ~domains ~budget ~seed ~artifacts =
       Format.printf "  clean (%d plans)@." r.E.plans_run;
       Ok ()
   in
+  (* Find, shrink, write and replay one mutant; the shrunk finding is
+     returned for the binary leg. *)
   let check_mutant name target =
     let r = E.explore ~domains target ~seed ~budget ~max_adversities:4 () in
     match r.E.found with
@@ -513,115 +526,62 @@ let explore_smoke ~domains ~budget ~seed ~artifacts =
       Format.printf
         "smoke: mutant %-22s found at plan %d, shrunk %d -> %d adversities@."
         name (r.E.plans_run - 1)
-        (Explore.Adversity.size o.E.plan)
-        (Explore.Adversity.size s.E.plan);
-      write_artifact ("mutant-" ^ name ^ ".repro")
-        (R.to_string (R.of_outcome target s));
-      if Explore.Adversity.size s.E.plan > 3 then
+        (Harness.Adversity.size o.E.plan)
+        (Harness.Adversity.size s.E.plan);
+      let text = spec_text target s in
+      write_artifact ("mutant-" ^ name ^ ".spec") text;
+      if Harness.Adversity.size s.E.plan > 3 then
         Error
           (Printf.sprintf "mutant %s: shrunk plan still has %d adversities"
              name
-             (Explore.Adversity.size s.E.plan))
-      else begin
-        (* Repro determinism, through the text roundtrip. *)
-        let repro = R.of_outcome target s in
-        match R.of_string (R.to_string repro) with
-        | Error msg ->
-          Error (Printf.sprintf "mutant %s: repro roundtrip: %s" name msg)
-        | Ok repro ->
-          (match R.replay repro with
-           | Ok _ -> Ok ()
-           | Error msg ->
-             Error (Printf.sprintf "mutant %s: replay: %s" name msg))
-      end
+             (Harness.Adversity.size s.E.plan))
+      else
+        match Builder.replay text with
+        | Ok _ -> Ok s
+        | Error msg -> Error (Printf.sprintf "mutant %s: replay: %s" name msg)
   in
-  (* The builder-spec flow: one finding travels the whole new-format
-     pipeline.  Explore, shrink, serialize the builder to spec text, parse
-     it back, re-run — the violation must survive and the trace digest
-     must match byte for byte.  The spec file lands in the artifact
-     directory beside the repro files. *)
-  let spec_gate () =
-    let mutant = List.hd Etob_omega.all_mutations in
-    let name = Etob_omega.mutation_name mutant in
-    let target = { E.default_target with E.mutation = Some mutant } in
-    Format.printf "smoke: builder-spec flow (mutant %s)...@." name;
-    let r = E.explore ~domains target ~seed ~budget ~max_adversities:4 () in
-    match r.E.found with
-    | None -> Error "spec flow: mutant not found within the budget"
-    | Some o ->
-      let s = E.shrink target o in
-      let b = E.builder_of target ~seed:s.E.seed s.E.plan in
-      let text =
-        Builder.to_string ~digest:s.E.digest ~violations:s.E.violations b
-      in
-      write_artifact ("spec-flow-" ^ name ^ ".spec") text;
-      (match Builder.of_string text with
-       | Error msg -> Error ("spec flow: parse: " ^ msg)
-       | Ok b' ->
-         let o' = Builder.run ~digest:true ~catch:true b' in
-         if o'.Builder.violations = [] then
-           Error "spec flow: replay lost the violation"
-         else if o'.Builder.digest <> s.E.digest then
+  (* Binary-artifact leg: stream a finding to a framed binary trace, embed
+     its spec record, and replay from the artifact alone — the digest must
+     survive the format change. *)
+  let binary_gate name target (s : E.outcome) =
+    let bin_path, keep =
+      match artifacts with
+      | Some dir ->
+        mkdirs dir;
+        (Filename.concat dir ("mutant-" ^ name ^ ".trace.bin"), true)
+      | None -> (Filename.temp_file "ecsim-smoke" ".trace.bin", false)
+    in
+    write_trace_bin bin_path (E.builder_of target ~seed:s.E.seed s.E.plan);
+    if keep then Format.printf "  artifact: %s@." bin_path;
+    let verdict =
+      match Builder.binary_spec bin_path with
+      | Error msg -> Error ("binary artifact: " ^ msg)
+      | Ok text ->
+        (match Builder.replay text with
+         | Error msg -> Error ("binary artifact: " ^ msg)
+         | Ok o when o.Builder.digest <> s.E.digest ->
            Error
-             (Printf.sprintf "spec flow: digest mismatch (%s vs %s)"
-                o'.Builder.digest s.E.digest)
-         else begin
-           Format.printf "  spec roundtrip reproduced digest %s@." s.E.digest;
-           (* Binary-artifact leg: stream the same finding to a framed
-              binary trace, embed its spec record, and replay from the
-              artifact alone — the digest must survive the format change. *)
-           let bin_path, keep =
-             match artifacts with
-             | Some dir ->
-               mkdirs dir;
-               ( Filename.concat dir ("spec-flow-" ^ name ^ ".trace.bin"),
-                 true )
-             | None -> (Filename.temp_file "ecsim-smoke" ".trace.bin", false)
-           in
-           let ob =
-             Builder.run ~digest:true ~catch:true
-               { b' with Builder.trace_out = Some (bin_path, Builder.Binary) }
-           in
-           Builder.append_binary_spec bin_path ~digest:ob.Builder.digest
-             ~violations:ob.Builder.violations b';
-           if keep then Format.printf "  artifact: %s@." bin_path;
-           let verdict =
-             match Builder.binary_spec bin_path with
-             | Error msg -> Error ("binary artifact: " ^ msg)
-             | Ok text2 ->
-               (match Builder.of_string text2 with
-                | Error msg -> Error ("binary artifact: parse: " ^ msg)
-                | Ok b2 ->
-                  let o2 = Builder.run ~digest:true ~catch:true b2 in
-                  if o2.Builder.violations = [] then
-                    Error "binary artifact: replay lost the violation"
-                  else if o2.Builder.digest <> s.E.digest then
-                    Error
-                      (Printf.sprintf
-                         "binary artifact: digest mismatch (%s vs %s)"
-                         o2.Builder.digest s.E.digest)
-                  else begin
-                    Format.printf
-                      "  binary artifact reproduced digest %s@." s.E.digest;
-                    Ok ()
-                  end)
-           in
-           if not keep then (try Sys.remove bin_path with Sys_error _ -> ());
-           verdict
-         end)
+             (Printf.sprintf "binary artifact: digest mismatch (%s vs %s)"
+                o.Builder.digest s.E.digest)
+         | Ok _ ->
+           Format.printf "  binary artifact reproduced digest %s@." s.E.digest;
+           Ok ())
+    in
+    if not keep then (try Sys.remove bin_path with Sys_error _ -> ());
+    verdict
   in
   let rec all = function
-    | [] -> Ok ()
+    | [] -> Ok []
     | (name, target) :: rest ->
       (match check_mutant name target with
-       | Ok () -> all rest
+       | Ok s -> Result.map (fun found -> (name, target, s) :: found) (all rest)
        | Error _ as e -> e)
   in
   let faithful = E.default_target in
   let recovering = { faithful with E.recovery = true } in
   let ( let* ) = Result.bind in
   let* () = clean_gate "alg5" faithful in
-  let* () =
+  let* etob_found =
     all
       (List.map
          (fun m ->
@@ -631,7 +591,7 @@ let explore_smoke ~domains ~budget ~seed ~artifacts =
   in
   (* Recovery gate: same story under crash-recovery adversities. *)
   let* () = clean_gate "alg5+recovery" recovering in
-  let* () =
+  let* _ =
     all
       (List.map
          (fun m ->
@@ -648,7 +608,7 @@ let explore_smoke ~domains ~budget ~seed ~artifacts =
      layer that never advertises) must be caught. *)
   let partitioned = { faithful with E.ae = true; watchdog = true } in
   let* () = clean_gate "alg5+ae+watchdog" partitioned in
-  let* () =
+  let* _ =
     all
       (List.map
          (fun m ->
@@ -656,77 +616,47 @@ let explore_smoke ~domains ~budget ~seed ~artifacts =
               { partitioned with E.ae_mutation = Some m } ))
          Anti_entropy.all_mutations)
   in
-  let* () = spec_gate () in
+  let* () =
+    match etob_found with
+    | (name, target, s) :: _ ->
+      Format.printf "smoke: binary artifact (mutant %s)...@." name;
+      binary_gate name target s
+    | [] -> Error "no Algorithm 5 mutant to replay from a binary artifact"
+  in
   print_endline "SMOKE PASSED";
   Ok ()
 
-(* Replay a finding file of any of the three formats.  Legacy repro files
-   go through [Explore.Repro.replay] (which re-derives the target); spec
-   files parse to a builder, re-run, and must reproduce the recorded
-   digest and (when the file records violations) some violation; binary
-   trace artifacts carry their spec text in an embedded record and replay
-   through the same spec path. *)
+(* Replay a finding file: a framed binary trace replays the spec text it
+   embeds, anything else is spec text (either header); [Builder.replay]
+   judges both. *)
 let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-let replay_spec_content content =
-  match Builder.of_string content with
-  | Error msg -> `Error (false, "spec parse: " ^ msg)
-  | Ok b ->
-    let o = Builder.run ~digest:true ~catch:true b in
+let replay_file path =
+  let text =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error msg -> Error msg
+    | content when starts_with ~prefix:"ECTRACE" content ->
+      Format.printf "replaying embedded spec of %s@." path;
+      Result.map_error (fun msg -> "binary trace: " ^ msg)
+        (Builder.binary_spec path)
+    | content -> Ok content
+  in
+  match Result.bind text Builder.replay with
+  | Error msg -> `Error (false, "replay: " ^ msg)
+  | Ok o ->
     List.iter (fun v -> Format.printf "  violation: %s@." v) o.Builder.violations;
     Format.printf "trace digest %s@." o.Builder.digest;
-    let expects_violation =
-      List.exists
-        (fun l -> String.length (String.trim l) > 10
-                  && String.sub (String.trim l) 0 10 = "violation ")
-        (String.split_on_char '\n' content)
-    in
-    (match Builder.recorded_digest content with
-     | Some d when d <> o.Builder.digest ->
-       `Error
-         ( false,
-           Printf.sprintf "digest mismatch: recorded %s, got %s" d
-             o.Builder.digest )
-     | _ ->
-       if expects_violation && o.Builder.violations = [] then
-         `Error (false, "recorded violation did not reproduce")
-       else begin
-         print_endline "REPLAY REPRODUCED";
-         `Ok ()
-       end)
-
-let replay_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> `Error (false, msg)
-  | content ->
-    if starts_with ~prefix:"ECTRACE" content then
-      (* A framed binary trace: replay the spec text it embeds. *)
-      (match Builder.binary_spec path with
-       | Error msg -> `Error (false, "binary trace: " ^ msg)
-       | Ok text ->
-         Format.printf "replaying embedded spec of %s@." path;
-         replay_spec_content text)
-    else if starts_with ~prefix:Builder.header content then
-      replay_spec_content content
-    else
-      (match Explore.Repro.read path with
-       | Error msg -> `Error (false, "repro parse: " ^ msg)
-       | Ok r ->
-         (match Explore.Repro.replay r with
-          | Ok o ->
-            pp_explore_outcome o;
-            print_endline "REPLAY REPRODUCED";
-            `Ok ()
-          | Error msg -> `Error (false, "replay: " ^ msg)))
+    print_endline "REPLAY REPRODUCED";
+    `Ok ()
 
 let explore_cmd =
   let doc =
     "Adversarially explore a protocol stack: enumerate bounded adversity \
      plans (crashes, partitions, delay spikes, drops, duplicates, leader \
      flapping), flag property violations, shrink findings to a minimal \
-     plan and write deterministic repro/spec files."
+     plan and write a deterministic spec file."
   in
   let plans_arg =
     let doc = "Exploration budget: number of adversity plans to run." in
@@ -771,8 +701,8 @@ let explore_cmd =
   in
   let artifacts_arg =
     let doc =
-      "In smoke mode, write every shrunk finding as a repro/spec file into \
-       this directory (created if needed) so CI can upload them on failure."
+      "In smoke mode, write every shrunk finding as a spec file into this \
+       directory (created if needed) so CI can upload them on failure."
     in
     Arg.(value & opt (some string) None & info [ "artifacts" ] ~docv:"DIR" ~doc)
   in
@@ -785,16 +715,17 @@ let explore_cmd =
   in
   let out_arg =
     let doc =
-      "Write the (shrunk) finding to this file: builder-spec format for a \
-       $(b,.spec) suffix, a framed binary trace (events plus embedded \
-       spec record) for a $(b,.bin) suffix, legacy repro format otherwise."
+      "Write the (shrunk) finding to this file: a framed binary trace \
+       (events plus embedded spec record) for a $(b,.bin) suffix, \
+       builder-spec text otherwise."
     in
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
   in
   let replay_arg =
     let doc =
-      "Replay a repro, spec or binary trace file (format auto-detected) \
-       instead of exploring."
+      "Replay a spec file (legacy repro files included) or a binary trace \
+       file instead of exploring: the recorded digest must reproduce, and \
+       the run must violate exactly when the file records violations."
     in
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
@@ -802,8 +733,8 @@ let explore_cmd =
     let doc =
       "Acceptance mode: the faithful Algorithm 5 must survive the budget \
        clean and every seeded mutant must be found, shrunk to <= 3 \
-       adversities and replayed deterministically (one finding also \
-       roundtrips through the builder-spec text form)."
+       adversities and replayed deterministically from its spec text (one \
+       finding also from a binary trace artifact)."
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
   in
@@ -925,24 +856,11 @@ let explore_cmd =
              pp_explore_outcome s;
              (match out with
               | Some path ->
-                (if Filename.check_suffix path ".spec" then
-                   Builder.write path ~digest:s.E.digest
-                     ~violations:s.E.violations
-                     (E.builder_of target ~seed:s.E.seed s.E.plan)
-                 else if Filename.check_suffix path ".bin" then begin
-                   (* Binary trace artifact: re-run the shrunk finding
-                      streaming its events, then embed the spec record so
-                      the file replays on its own. *)
-                   let b = E.builder_of target ~seed:s.E.seed s.E.plan in
-                   let o =
-                     Builder.run ~digest:true ~catch:true
-                       { b with Builder.trace_out = Some (path, Builder.Binary) }
-                   in
-                   Builder.append_binary_spec path ~digest:o.Builder.digest
-                     ~violations:s.E.violations b
-                 end
-                 else
-                   Explore.Repro.write path (Explore.Repro.of_outcome target s));
+                let b = E.builder_of target ~seed:s.E.seed s.E.plan in
+                if Filename.check_suffix path ".bin" then write_trace_bin path b
+                else
+                  Builder.write path ~digest:s.E.digest
+                    ~violations:s.E.violations b;
                 Format.printf "finding written to %s@." path
               | None -> ());
              `Error (false, "property violations found"))
@@ -1174,11 +1092,11 @@ let service_cmd =
     List.concat_map
       (fun spec ->
         let setup =
-          { (Harness.Scenario.default ~n:3 ~deadline:120) with
-            Harness.Scenario.seed = seed }
+          { (Harness.Stacks.default ~n:3 ~deadline:120) with
+            Harness.Stacks.seed = seed }
         in
         let go () =
-          Service.Runner.run ~setup ~spec ~impl:Harness.Scenario.Algorithm_5
+          Service.Runner.run ~setup ~spec ~impl:Harness.Stacks.Algorithm_5
         in
         let a = go () in
         let b = go () in

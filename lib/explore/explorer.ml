@@ -28,11 +28,10 @@
 open Simulator
 open Simulator.Types
 open Ec_core
-module Scenario = Harness.Scenario
-module Builder = Harness.Builder
+open Harness
 
 type target = {
-  impl : Scenario.etob_impl;
+  impl : Stacks.etob_impl;
   mutation : Etob_omega.mutation option;
   n : int;
   deadline : time;
@@ -48,7 +47,7 @@ type target = {
 }
 
 let default_target =
-  { impl = Scenario.Algorithm_5;
+  { impl = Stacks.Algorithm_5;
     mutation = None;
     n = 4;
     deadline = 240;
@@ -64,14 +63,14 @@ let default_target =
 
 (* Names match the ecsim --impl catalogue. *)
 let impl_name = function
-  | Scenario.Algorithm_5 -> "alg5"
-  | Scenario.Paxos_baseline -> "paxos"
-  | Scenario.Algorithm_1_over_4 -> "alg1"
+  | Stacks.Algorithm_5 -> "alg5"
+  | Stacks.Paxos_baseline -> "paxos"
+  | Stacks.Algorithm_1_over_4 -> "alg1"
 
 let impl_of_string = function
-  | "alg5" -> Some Scenario.Algorithm_5
-  | "paxos" -> Some Scenario.Paxos_baseline
-  | "alg1" -> Some Scenario.Algorithm_1_over_4
+  | "alg5" -> Some Stacks.Algorithm_5
+  | "paxos" -> Some Stacks.Paxos_baseline
+  | "alg1" -> Some Stacks.Algorithm_1_over_4
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -82,7 +81,7 @@ let impl_of_string = function
    causality graph); it runs whenever the target opts in or seeds an
    anti-entropy mutation. *)
 let uses_ae target =
-  target.impl = Scenario.Algorithm_5
+  target.impl = Stacks.Algorithm_5
   && (target.ae || target.ae_mutation <> None)
 
 (* The recoverable stack wraps Algorithm 5 only; it runs whenever the
@@ -90,15 +89,15 @@ let uses_ae target =
    contains recovery adversities (downtime windows are only fair against a
    stack that can replay its stable store). *)
 let uses_recovery target plan =
-  target.impl = Scenario.Algorithm_5
+  target.impl = Stacks.Algorithm_5
   && (target.recovery || target.rmutation <> None
       || Adversity.has_recovery plan)
 
 (* The builder a target denotes under one plan: stack selection as above,
    the explorer's posting policy as an [Auto_posts] workload, the ETOB
    checker with the plan-aware tau bound, and the liveness watchdog when
-   the target opts in.  Everything downstream — running, bounds, repro
-   text, differential replay — is the builder's. *)
+   the target opts in.  Everything downstream — running, bounds, spec
+   text, replay — is the builder's. *)
 let builder_of target ~seed plan =
   let stack =
     if uses_recovery target plan then
@@ -124,47 +123,71 @@ let builder_of target ~seed plan =
 
 (* The inverse direction, for [ecsim explore --spec]: read the target
    fields back off a declarative builder.  The spec's plan is a starting
-   point the search discards (exploration generates its own); only stacks
-   the generator knows how to be fair to are accepted. *)
+   point the search discards (exploration generates its own) and its
+   budget is a hint the caller reads; every other clause must be one
+   [builder_of] writes back — otherwise the search would silently explore
+   a different run (an omega clause, a boost, a fixed tau, a hand-set
+   workload), so the first clause it cannot express is an error. *)
 let target_of (b : Builder.t) =
-  match b.Builder.base with
-  | Builder.Opaque _ ->
-    Error "exploration needs a declarative (spec-file) base"
-  | Builder.Decl d ->
-    let base_min, base_max =
-      match d.Builder.delay with
-      | Builder.Constant dl -> (dl, dl)
-      | Builder.Uniform { min_d; max_d } -> (min_d, max_d)
-    in
-    (match b.Builder.stack with
-     | Builder.Etob impl -> Ok (impl, false, false)
-     | Builder.Etob_ae -> Ok (Scenario.Algorithm_5, true, false)
-     | Builder.Recoverable { ae } -> Ok (Scenario.Algorithm_5, ae, true)
-     | s ->
-       Error
-         (Printf.sprintf "exploration does not cover the %s stack"
-            (Builder.stack_name s)))
-    |> Result.map (fun (impl, ae, recovery) ->
-        { impl;
-          mutation = b.Builder.mutation;
-          n = d.Builder.n;
-          deadline = d.Builder.deadline;
-          posts = Builder.post_count b;
-          timer_period = d.Builder.timer_period;
-          base_min;
-          base_max;
-          recovery =
-            recovery
-            || (match b.Builder.workload with
-                | Builder.Auto_posts { stretch; _ } -> stretch
-                | _ -> false);
-          rmutation = b.Builder.rmutation;
-          ae = ae || b.Builder.ae_mutation <> None;
-          ae_mutation = b.Builder.ae_mutation;
-          watchdog =
-            List.exists
-              (function Builder.Watchdog _ -> true | _ -> false)
-              b.Builder.checkers })
+  let ( let* ) = Result.bind in
+  let* d =
+    match b.Builder.base with
+    | Builder.Opaque _ ->
+      Error "exploration needs a declarative (spec-file) base"
+    | Builder.Decl d -> Ok d
+  in
+  let* impl, ae =
+    match b.Builder.stack with
+    | Builder.Etob impl -> Ok (impl, false)
+    | Builder.Etob_ae -> Ok (Stacks.Algorithm_5, true)
+    | Builder.Recoverable { ae } -> Ok (Stacks.Algorithm_5, ae)
+    | s ->
+      Error
+        (Printf.sprintf "exploration does not cover the %s stack"
+           (Builder.stack_name s))
+  in
+  let base_min, base_max =
+    match d.Builder.delay with
+    | Builder.Constant dl -> (dl, dl)
+    | Builder.Uniform { min_d; max_d } -> (min_d, max_d)
+  in
+  let t =
+    { impl;
+      mutation = b.Builder.mutation;
+      n = d.Builder.n;
+      deadline = d.Builder.deadline;
+      posts = Builder.post_count b;
+      timer_period = d.Builder.timer_period;
+      base_min;
+      base_max;
+      recovery =
+        (match b.Builder.workload with
+         | Builder.Auto_posts { stretch; _ } -> stretch
+         | _ -> false);
+      rmutation = b.Builder.rmutation;
+      ae;
+      ae_mutation = b.Builder.ae_mutation;
+      watchdog =
+        List.exists
+          (function Builder.Watchdog _ -> true | _ -> false)
+          b.Builder.checkers }
+  in
+  let lines b =
+    match Builder.to_lines b with
+    | lines -> Ok lines
+    | exception Invalid_argument msg -> Error msg
+  in
+  let* want = lines { b with Builder.plan = []; budget = None } in
+  let* got = lines (builder_of t ~seed:d.Builder.seed []) in
+  if got = want then Ok t
+  else
+    match List.find_opt (fun l -> not (List.mem l got)) want with
+    | Some l -> Error (Printf.sprintf "exploration cannot express %S" l)
+    | None ->
+      (match List.find_opt (fun l -> not (List.mem l want)) got with
+       | Some l ->
+         Error (Printf.sprintf "exploration needs the clause %S" l)
+       | None -> Error "exploration needs the clauses in canonical order")
 
 (* ------------------------------------------------------------------ *)
 (* Policies (delegated to the builder's formulas)                      *)
@@ -210,7 +233,7 @@ let run_plan target ~seed plan =
 
 let max_crashes target =
   match target.impl with
-  | Scenario.Algorithm_5 -> target.n - 1  (* any environment *)
+  | Stacks.Algorithm_5 -> target.n - 1  (* any environment *)
   | _ -> (target.n - 1) / 2  (* quorum stacks need a correct majority *)
 
 let random_spec target ~rng =
@@ -237,10 +260,10 @@ let random_spec target ~rng =
   in
   let kind_pool =
     [ 0; 1; 2; 3; 4 ]
-    @ (if target.impl = Scenario.Algorithm_5 && drop_safe_until target > 2
+    @ (if target.impl = Stacks.Algorithm_5 && drop_safe_until target > 2
        then [ 5 ]
        else [])
-    @ (if target.recovery && target.impl = Scenario.Algorithm_5
+    @ (if target.recovery && target.impl = Stacks.Algorithm_5
        then [ 6; 7 ]
        else [])
       (* Message-LOSING partitions are only fair against Algorithm 5, whose
@@ -250,7 +273,7 @@ let random_spec target ~rng =
          that is where they have teeth — and legacy targets keep drawing
          exactly the plans they always did, so recorded repros and tuned
          search budgets stay valid. *)
-    @ (if target.impl = Scenario.Algorithm_5
+    @ (if target.impl = Stacks.Algorithm_5
           && (uses_ae target || target.watchdog)
           && lossy_safe_until target > 2
        then [ 8; 9; 10; 11 ]
@@ -336,7 +359,7 @@ let sanitize target plan =
   let crashes = ref 0 and flapped = ref false in
   let crashed = Hashtbl.create 4 in
   let windowed = Hashtbl.create 4 in
-  let recovery_ok = target.impl = Scenario.Algorithm_5 in
+  let recovery_ok = target.impl = Stacks.Algorithm_5 in
   let plan =
     List.filter
       (fun spec ->

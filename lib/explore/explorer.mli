@@ -14,11 +14,10 @@
 
 open Simulator.Types
 open Ec_core
-module Scenario = Harness.Scenario
-module Builder = Harness.Builder
+open Harness
 
 type target = {
-  impl : Scenario.etob_impl;
+  impl : Stacks.etob_impl;
   mutation : Etob_omega.mutation option;  (** seeded bug (Algorithm 5 only) *)
   n : int;
   deadline : time;
@@ -52,10 +51,10 @@ val default_target : target
 (** Algorithm 5, unmutated: n=4, deadline=240, 12 posts, delays in [1,3],
     no recovery. *)
 
-val impl_name : Scenario.etob_impl -> string
+val impl_name : Stacks.etob_impl -> string
 (** Names match the [ecsim --impl] catalogue: alg5, paxos, alg1. *)
 
-val impl_of_string : string -> Scenario.etob_impl option
+val impl_of_string : string -> Stacks.etob_impl option
 
 val inputs : target -> (time * proc_id * Simulator.Io.input) list
 val drop_safe_until : target -> time
@@ -91,7 +90,7 @@ val tau_bound : target -> Adversity.t -> time
     when the plan restarts processes (recovery legitimately perturbs
     stability around the restart). *)
 
-val base_setup : target -> seed:int -> Scenario.setup
+val base_setup : target -> seed:int -> Stacks.setup
 
 val uses_recovery : target -> Adversity.t -> bool
 (** This (target, plan) pair runs the recoverable stack: the target opts
@@ -102,14 +101,18 @@ val builder_of : target -> seed:int -> Adversity.t -> Builder.t
 (** The declarative builder a target denotes under one plan: stack per
     {!uses_recovery}/{!uses_ae}, the posting policy as an [Auto_posts]
     workload, the plan-aware ETOB checker, plus the watchdog when the
-    target opts in.  Running, bounds, repro text and replay all go through
+    target opts in.  Running, bounds, spec text and replay all go through
     this value — the explorer's single bridge to {!Harness.Builder}. *)
 
 val target_of : Builder.t -> (target, string) result
 (** Read the target fields back off a declarative builder (for
     [ecsim explore --spec]).  The builder's own plan is discarded —
-    exploration generates its plans — and only ETOB-family stacks are
-    accepted (the plan generator knows how to be fair to them). *)
+    exploration generates its plans — and so is its budget hint; only
+    ETOB-family stacks are accepted (the plan generator knows how to be
+    fair to them).  [Ok t] exactly when [builder_of t ~seed:(seed_of b) []]
+    serializes like [b] without its plan and budget, so [--spec] explores
+    the run the file describes; otherwise [Error] names the first clause
+    exploration cannot express. *)
 
 type outcome = {
   plan : Adversity.t;

@@ -5,8 +5,8 @@
    the same plan value drives exploration, shrinking and replay.
 
    Plans are *data*, not closures: they print to a stable one-line-per-spec
-   format ([to_lines]/[of_lines]) that repro and builder-spec files embed
-   verbatim.  [make] is the normalizing smart constructor: it dedupes
+   format ([to_lines]/[of_lines]) that builder-spec files (and legacy repro
+   files) embed verbatim.  [make] is the normalizing smart constructor: it dedupes
    [Omega_flap] (last wins, now enforced rather than documented) and
    stable-sorts specs into a canonical rank order that [apply] is
    insensitive to (kinds touching the same setup field share a rank, so
@@ -14,7 +14,6 @@
 
 open Simulator
 open Simulator.Types
-module Scenario = Stacks
 
 type spec =
   | Crash of { proc : proc_id; at : time }
@@ -159,7 +158,7 @@ let complement ~n left =
    and the shrinker maintain that invariant; if violated, the last one
    wins).  [Omega_flap] only affects oracle setups — the heartbeat
    emulation's flapping is an emergent behaviour, not a config. *)
-let apply_spec (s : Scenario.setup) spec : Scenario.setup =
+let apply_spec (s : Stacks.setup) spec : Stacks.setup =
   match spec with
   | Crash { proc; at } ->
     { s with pattern = Failures.crash_at s.pattern proc at }
@@ -201,13 +200,13 @@ let apply_spec (s : Scenario.setup) spec : Scenario.setup =
           [ s.faults; Net.duplicate_window ~from_time ~until_time copies ] }
   | Omega_flap { until_time; period } ->
     (match s.omega with
-     | Scenario.Oracle _ ->
+     | Stacks.Oracle _ ->
        { s with
          omega =
-           Scenario.Oracle
+           Stacks.Oracle
              { stabilize_at = until_time;
                pre = Detectors.Omega.Rotating period } }
-     | Scenario.Elected _ -> s)
+     | Stacks.Elected _ -> s)
   | Crash_recover { proc; at; recover_at } ->
     { s with pattern = Failures.crash_recover_at s.pattern proc ~at ~recover_at }
   | Disk_fault _ -> s
@@ -282,7 +281,7 @@ let weaken spec =
      | _ -> [])
 
 (* ------------------------------------------------------------------ *)
-(* Stable text form (embedded in repro files)                          *)
+(* Stable text form (embedded in spec files)                           *)
 (* ------------------------------------------------------------------ *)
 
 let pp_procs ppf procs =
@@ -362,25 +361,36 @@ let spec_of_line_exn line =
     let procs k =
       List.filter_map int_of_string_opt (String.split_on_char ',' (str k))
     in
+    (* Values [apply] would reject are parse errors here, so a spec file
+       fails on its offending line instead of raising mid-run. *)
+    let at_least lo k =
+      let v = int k in
+      if v < lo then parse_fail "field %s must be >= %d in %S" k lo line;
+      v
+    in
+    let time k = at_least 0 k in
+    let window () =
+      let from_time = time "from" in
+      let until_time = time "until" in
+      if until_time < from_time then
+        parse_fail "window ends before it starts in %S" line;
+      (from_time, until_time)
+    in
     (match kind with
-     | "crash" -> Crash { proc = int "p"; at = int "at" }
+     | "crash" -> Crash { proc = int "p"; at = time "at" }
      | "partition" ->
-       Partition
-         { left = procs "left"; from_time = int "from"; until_time = int "until" }
+       let from_time, until_time = window () in
+       Partition { left = procs "left"; from_time; until_time }
      | "lossy" ->
-       Lossy_partition
-         { left = procs "left"; from_time = int "from"; until_time = int "until" }
+       let from_time, until_time = window () in
+       Lossy_partition { left = procs "left"; from_time; until_time }
      | "oneway" ->
-       Oneway_partition
-         { left = procs "left"; from_time = int "from"; until_time = int "until" }
+       let from_time, until_time = window () in
+       Oneway_partition { left = procs "left"; from_time; until_time }
      | "flapping" ->
-       let period = int "period" in
-       if period < 1 then parse_fail "flapping period must be >= 1 in %S" line;
+       let from_time, until_time = window () in
        Flapping_partition
-         { left = procs "left";
-           from_time = int "from";
-           until_time = int "until";
-           period }
+         { left = procs "left"; from_time; until_time; period = at_least 1 "period" }
      | "spike" ->
        let link =
          match str "link" with
@@ -393,21 +403,20 @@ let spec_of_line_exn line =
                | _ -> parse_fail "bad link %S" l)
             | _ -> parse_fail "bad link %S" l)
        in
-       Delay_spike
-         { link;
-           from_time = int "from";
-           until_time = int "until";
-           factor = int "factor" }
+       let from_time, until_time = window () in
+       Delay_spike { link; from_time; until_time; factor = at_least 1 "factor" }
      | "drop" ->
-       Drop { from_time = int "from"; until_time = int "until"; pct = int "pct" }
+       let from_time, until_time = window () in
+       let pct = at_least 1 "pct" in
+       if pct > 100 then parse_fail "field pct must be <= 100 in %S" line;
+       Drop { from_time; until_time; pct }
      | "dup" ->
-       Duplicate
-         { from_time = int "from";
-           until_time = int "until";
-           copies = int "copies" }
-     | "flap" -> Omega_flap { until_time = int "until"; period = int "period" }
+       let from_time, until_time = window () in
+       Duplicate { from_time; until_time; copies = at_least 1 "copies" }
+     | "flap" ->
+       Omega_flap { until_time = time "until"; period = at_least 1 "period" }
      | "crashrec" ->
-       let at = int "at" and recover_at = int "until" in
+       let at = time "at" and recover_at = int "until" in
        if recover_at <= at then
          parse_fail "crashrec window is empty or inverted in %S" line;
        Crash_recover { proc = int "p"; at; recover_at }

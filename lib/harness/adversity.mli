@@ -1,10 +1,11 @@
 (** Adversity plans: first-class, composable descriptions of everything the
     explorer may do to a run beyond the base scenario.  A plan is plain
     data; {!apply} folds it into any {!Stacks.setup}, and the stable text
-    form ({!to_lines}/{!of_lines}) is what repro and builder-spec files
-    embed, so the same value drives exploration, shrinking and replay.
-    {!make} is the normalizing smart constructor (flap dedupe, canonical
-    spec order); it never changes what {!apply} builds. *)
+    form ({!to_lines}/{!of_lines}) is what builder-spec files (and legacy
+    repro files) embed, so the same value drives exploration, shrinking
+    and replay.  {!make} is the normalizing smart constructor (flap
+    dedupe, canonical spec order); it never changes what {!apply}
+    builds. *)
 
 open Simulator.Types
 
@@ -119,7 +120,11 @@ val to_lines : t -> string list
 
 val of_line : string -> (spec, string) result
 (** Parse one spec line; [Error] names the offending field and quotes the
-    line.  Does not normalize (repro files replay their plan verbatim). *)
+    line.  Values {!apply} would reject are errors too: negative times,
+    windows ending before they start, a drop [pct] outside [1, 100], a
+    factor, copy count or period below 1.  Process ids are not
+    range-checked (a line does not know [n]).  Does not normalize (legacy
+    repro files replay their plan verbatim). *)
 
 val of_lines : string list -> (t, string) result
 (** Parse a whole plan and {!make}-normalize it. *)

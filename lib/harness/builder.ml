@@ -432,7 +432,7 @@ let run ?(digest = false) ?(catch = false) ?guard t =
         (Stacks.run_etob_with_commits ~inputs setup, No_handles)
       | Gossip -> (Stacks.run_gossip_order ~inputs setup, No_handles)
       | Ec ->
-        ( Stacks.run_ec_omega ~inputs setup ~propose_value:(propose_of t)
+        ( Stacks.run_ec_alg4 ~inputs setup ~propose_value:(propose_of t)
             ~max_instance:t.max_instance,
           No_handles )
       | Ec_lifted ->
@@ -854,6 +854,12 @@ exception Parse of string
 let parse_fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt
 let at lineno fmt = Printf.ksprintf (fun m -> parse_fail "line %d: %s" lineno m) fmt
 
+(* A value the run itself would reject is a parse error on its own line,
+   so a bad spec fails with its position instead of raising mid-run. *)
+let at_least lineno lo what v =
+  if v < lo then at lineno "%s must be >= %d, got %d" what lo v;
+  v
+
 (* Key=value fields of a line tail, repro-file style. *)
 let kv_fields fields =
   List.filter_map
@@ -868,8 +874,22 @@ let kv_fields fields =
 let tokens_of line =
   List.filter (( <> ) "") (String.split_on_char ' ' (String.trim line))
 
-(* Shared by both parsers: take [count] plan lines, expect "end". *)
-let parse_plan_section ~count rest =
+let spec_procs = function
+  | Adversity.Crash { proc; _ }
+  | Adversity.Crash_recover { proc; _ }
+  | Adversity.Disk_fault { proc; _ } -> [ proc ]
+  | Adversity.Partition { left; _ }
+  | Adversity.Lossy_partition { left; _ }
+  | Adversity.Oneway_partition { left; _ }
+  | Adversity.Flapping_partition { left; _ } -> left
+  | Adversity.Delay_spike { link = Some (src, dst); _ } -> [ src; dst ]
+  | Adversity.Delay_spike { link = None; _ }
+  | Adversity.Drop _ | Adversity.Duplicate _ | Adversity.Omega_flap _ -> []
+
+(* Shared by both parsers: take [count] plan lines (the "plan" header is
+   line [lineno]), expect "end", and keep every process inside [0, n). *)
+let parse_plan_section ~n ~lineno ~count rest =
+  if count < 0 then at lineno "plan count must be >= 0, got %d" count;
   let rec take k acc = function
     | rest when k = 0 -> (List.rev acc, rest)
     | [] ->
@@ -885,7 +905,13 @@ let parse_plan_section ~count rest =
   List.map
     (fun (lineno, l) ->
        match Adversity.of_line l with
-       | Ok spec -> spec
+       | Ok spec ->
+         List.iter
+           (fun p ->
+              if p < 0 || p >= n then
+                at lineno "process %d outside [0, %d) in %S" p n l)
+           (spec_procs spec);
+         spec
        | Error msg -> at lineno "%s" msg)
     plan_lines
 
@@ -900,6 +926,7 @@ let parse_legacy rest =
   let timer_period = ref 2 and posts = ref 12 in
   let base_min = ref 1 and base_max = ref 3 in
   let recovery = ref false and ae = ref false and watchdog = ref false in
+  let base_max_line = ref 0 in
   let finish plan =
     let uses_ae = !impl = Stacks.Algorithm_5 && (!ae || !ae_mutation <> None) in
     let uses_recovery =
@@ -979,15 +1006,28 @@ let parse_legacy rest =
        | "recovery" -> flag lineno key v recovery; headers rest
        | "ae" -> flag lineno key v ae; headers rest
        | "watchdog" -> flag lineno key v watchdog; headers rest
-       | "n" -> n := int v; headers rest
+       | "n" -> n := at_least lineno 2 "n" (int v); headers rest
        | "seed" -> seed := int v; headers rest
-       | "deadline" -> deadline := int v; headers rest
-       | "timer-period" -> timer_period := int v; headers rest
-       | "posts" -> posts := int v; headers rest
-       | "base-min" -> base_min := int v; headers rest
-       | "base-max" -> base_max := int v; headers rest
+       | "deadline" ->
+         deadline := at_least lineno 1 "deadline" (int v);
+         headers rest
+       | "timer-period" ->
+         timer_period := at_least lineno 1 "timer-period" (int v);
+         headers rest
+       | "posts" -> posts := at_least lineno 0 "posts" (int v); headers rest
+       | "base-min" ->
+         base_min := at_least lineno 1 "base-min" (int v);
+         headers rest
+       | "base-max" ->
+         base_max := int v;
+         base_max_line := lineno;
+         headers rest
        | "digest" | "violation" -> headers rest
-       | "plan" -> finish (parse_plan_section ~count:(int v) rest)
+       | "plan" ->
+         if !base_max < !base_min then
+           at !base_max_line "base-max %d is below base-min %d" !base_max
+             !base_min;
+         finish (parse_plan_section ~n:!n ~lineno ~count:(int v) rest)
        | k -> at lineno "unknown header %S" k)
   in
   headers rest
@@ -1002,8 +1042,13 @@ let parse_new rest =
   let checkers = ref [] and boosts = ref [] and posts = ref [] in
   let explicit = ref false in
   let finish plan =
+    let n = n_of !t in
+    List.iter
+      (fun (lineno, (_, p, _)) ->
+         if p < 0 || p >= n then at lineno "post process %d outside [0, %d)" p n)
+      !posts;
     let workload =
-      if !explicit then Explicit (List.rev !posts) else !t.workload
+      if !explicit then Explicit (List.rev_map snd !posts) else !t.workload
     in
     { !t with
       workload;
@@ -1024,6 +1069,7 @@ let parse_new rest =
         | Some v -> int v
         | None -> at lineno "missing field %s" k
       in
+      let kv_nat kv k = at_least lineno 0 k (kv_int kv k) in
       (match tokens_of line with
        | [] -> headers rest
        | "stack" :: [ name ] ->
@@ -1031,25 +1077,32 @@ let parse_new rest =
           | Some stack -> t := { !t with stack }
           | None -> at lineno "unknown stack %S" name);
          headers rest
-       | "n" :: [ v ] -> set_decl (fun d -> { d with n = int v }); headers rest
+       | "n" :: [ v ] ->
+         let n = at_least lineno 2 "n" (int v) in
+         set_decl (fun d -> { d with n });
+         headers rest
        | "seed" :: [ v ] ->
          set_decl (fun d -> { d with seed = int v });
          headers rest
        | "deadline" :: [ v ] ->
-         set_decl (fun d -> { d with deadline = int v });
+         let deadline = at_least lineno 1 "deadline" (int v) in
+         set_decl (fun d -> { d with deadline });
          headers rest
        | "timer-period" :: [ v ] ->
-         set_decl (fun d -> { d with timer_period = int v });
+         let timer_period = at_least lineno 1 "timer-period" (int v) in
+         set_decl (fun d -> { d with timer_period });
          headers rest
        | "delay" :: "constant" :: [ v ] ->
-         set_decl (fun d -> { d with delay = Constant (int v) });
+         let dl = at_least lineno 1 "delay" (int v) in
+         set_decl (fun d -> { d with delay = Constant dl });
          headers rest
        | "delay" :: "uniform" :: fields ->
          let kv = kv_fields fields in
-         set_decl (fun d ->
-             { d with
-               delay =
-                 Uniform { min_d = kv_int kv "min"; max_d = kv_int kv "max" } });
+         let min_d = at_least lineno 1 "delay min" (kv_int kv "min") in
+         let max_d = kv_int kv "max" in
+         if max_d < min_d then
+           at lineno "delay max %d is below min %d" max_d min_d;
+         set_decl (fun d -> { d with delay = Uniform { min_d; max_d } });
          headers rest
        | "omega" :: "oracle" :: fields ->
          let kv = kv_fields fields in
@@ -1072,7 +1125,10 @@ let parse_new rest =
          t :=
            { !t with
              omega =
-               Some (Stacks.Elected { initial_timeout = kv_int kv "timeout" })
+               Some
+                 (Stacks.Elected
+                    { initial_timeout =
+                        at_least lineno 1 "timeout" (kv_int kv "timeout") })
            };
          headers rest
        | "workload" :: [ "none" ] ->
@@ -1084,9 +1140,9 @@ let parse_new rest =
            { !t with
              workload =
                Posts
-                 { count = kv_int kv "count";
-                   from_time = kv_int kv "from";
-                   every = kv_int kv "every" } };
+                 { count = kv_nat kv "count";
+                   from_time = kv_nat kv "from";
+                   every = kv_nat kv "every" } };
          headers rest
        | "workload" :: "auto" :: fields ->
          let kv = kv_fields fields in
@@ -1098,7 +1154,7 @@ let parse_new rest =
          in
          t :=
            { !t with
-             workload = Auto_posts { count = kv_int kv "count"; stretch } };
+             workload = Auto_posts { count = kv_nat kv "count"; stretch } };
          headers rest
        | "workload" :: "weighted" :: fields ->
          let kv = kv_fields fields in
@@ -1121,17 +1177,22 @@ let parse_new rest =
            { !t with
              workload =
                Weighted
-                 { count = kv_int kv "count";
-                   from_time = kv_int kv "from";
-                   every = kv_int kv "every";
-                   jitter = kv_int kv "jitter";
+                 { count = kv_nat kv "count";
+                   from_time = kv_nat kv "from";
+                   every = kv_nat kv "every";
+                   jitter = kv_nat kv "jitter";
                    mix } };
          headers rest
        | [ "workload"; "explicit" ] ->
          explicit := true;
          headers rest
        | "post" :: tm :: p :: tag_words when !explicit ->
-         posts := (int tm, int p, String.concat " " tag_words) :: !posts;
+         posts :=
+           ( lineno,
+             ( at_least lineno 0 "post time" (int tm),
+               int p,
+               String.concat " " tag_words ) )
+           :: !posts;
          headers rest
        | "service" :: fields ->
          (match Service_spec.of_fields (kv_fields fields) with
@@ -1189,7 +1250,8 @@ let parse_new rest =
          t := { !t with budget = Some (int v) };
          headers rest
        | "digest" :: _ | "violation" :: _ -> headers rest
-       | "plan" :: [ v ] -> finish (parse_plan_section ~count:(int v) rest)
+       | "plan" :: [ v ] ->
+         finish (parse_plan_section ~n:(n_of !t) ~lineno ~count:(int v) rest)
        | _ -> at lineno "unknown spec line %S" line)
   in
   headers rest
@@ -1229,6 +1291,37 @@ let read path =
   match In_channel.with_open_text path In_channel.input_all with
   | s -> of_string s
   | exception Sys_error msg -> Error msg
+
+(* The replay verdict, two-sided: a recorded digest must be reproduced
+   byte for byte, and the re-run must violate exactly when the text
+   records violations — a recorded finding that comes back clean and a
+   clean record that comes back violating are both failures. *)
+let replay text =
+  match of_string text with
+  | Error msg -> Error ("spec parse: " ^ msg)
+  | Ok t ->
+    let o = run ~digest:true ~catch:true t in
+    let recorded_violation =
+      List.exists
+        (fun line ->
+           match tokens_of line with "violation" :: _ -> true | _ -> false)
+        (String.split_on_char '\n' text)
+    in
+    (match recorded_digest text with
+     | Some d when d <> o.digest ->
+       Error
+         (Printf.sprintf
+            "digest mismatch: recorded %s, replayed %s (did the protocol or \
+             engine change?)"
+            d o.digest)
+     | _ ->
+       if recorded_violation && o.violations = [] then
+         Error "recorded violation did not reproduce: the replay was clean"
+       else if (not recorded_violation) && o.violations <> [] then
+         Error
+           ("the file records no violation but the replay violated: "
+            ^ String.concat "; " o.violations)
+       else Ok o)
 
 (* ------------------------------------------------------------------ *)
 (* Binary trace artifacts                                              *)

@@ -8,10 +8,10 @@
     [--spec FILE]) into one.
 
     Builders made of plain data (a {!Decl} base, no escape hatches) have a
-    stable text form ({!to_lines}/{!of_lines}) that subsumes the explorer's
-    repro headers: {!of_lines} also accepts the legacy
-    ["ecsim-explore-repro v1"] format, and replaying either through {!run}
-    is byte-identical to the original paths (enforced by the differential
+    stable text form ({!to_lines}/{!of_lines}), the one format findings are
+    written in.  {!of_lines} also reads the legacy
+    ["ecsim-explore-repro v1"] files earlier explorers wrote, and {!replay}
+    judges either form byte-identically (enforced by the differential
     tests in [test/test_builder.ml]). *)
 
 open Simulator
@@ -32,7 +32,7 @@ type decl_base = {
 }
 
 (** The declarative base scenario, or an arbitrary prebuilt setup (escape
-    hatch for the {!Scenario} shims; not serializable). *)
+    hatch for the {!Scenario} presets; not serializable). *)
 type base = Decl of decl_base | Opaque of Stacks.setup
 
 (** Which protocol stack the run drives; mirrors the [Stacks.run_*]
@@ -142,7 +142,7 @@ val create :
 
 val of_setup : Stacks.setup -> stack -> t
 (** Wrap a prebuilt setup ({!Opaque} base); used by the {!Scenario}
-    shims.  Not serializable. *)
+    presets.  Not serializable. *)
 
 val default_propose : proc_id -> instance:int -> Value.t
 (** [Num (1000*p + instance)]: the deterministic proposer EC stacks use
@@ -280,9 +280,15 @@ val to_lines : ?digest:string -> ?violations:string list -> t -> string list
 val to_string : ?digest:string -> ?violations:string list -> t -> string
 
 val of_lines : string list -> (t, string) result
-(** Parse either text form; every error names the offending line.  New
-    -format plans are normalized ({!Adversity.make}); legacy repro plans
-    are kept verbatim. *)
+(** Parse either text form; every error names the offending line.  Values
+    the run would reject are parse errors too: [n < 2], a deadline or timer
+    period below 1, delays below 1 or [max < min], negative workload
+    fields (counts, start times, cadences, jitter) or plan counts, an
+    explicit post at a negative time or to a process outside [[0, n)], an
+    elected-Ω timeout below 1, and plan lines {!Adversity.of_line}
+    rejects or naming a process outside [[0, n)].  New-format plans are
+    normalized ({!Adversity.make}); legacy repro plans are kept
+    verbatim. *)
 
 val of_string : string -> (t, string) result
 
@@ -291,6 +297,14 @@ val recorded_digest : string -> string option
 
 val write : string -> ?digest:string -> ?violations:string list -> t -> unit
 val read : string -> (t, string) result
+
+val replay : string -> (outcome, string) result
+(** Replay a recorded finding from its text alone (either header): parse,
+    re-run with [~digest:true ~catch:true], and judge.  [Ok] iff the trace
+    digest matches the recorded one (when a [digest] line is present) and
+    the run violates exactly when the text records [violation] lines —
+    byte-identical replay in both directions, not merely a similar
+    outcome. *)
 
 (** {2 Binary trace artifacts}
 

@@ -1,10 +1,7 @@
-(* Scenario harness, as a facade: the raw process-by-process wiring lives
-   in [Stacks], and every run_* entrypoint below is a thin preset over
-   [Builder] — an opaque-base builder carrying the caller's setup, inputs
-   and knobs, interpreted by [Builder.run].  Callers keep the historical
-   signatures; the builder is the single code path underneath. *)
-
-include Stacks
+(* Scenario presets: the raw process-by-process wiring lives in [Stacks],
+   and every run_* entrypoint below is a thin preset over [Builder] — an
+   opaque-base builder carrying the caller's setup, inputs and knobs,
+   interpreted by [Builder.run]. *)
 
 let builder_of inputs setup stack =
   { (Builder.of_setup setup stack) with Builder.workload = Builder.Raw inputs }
@@ -62,18 +59,3 @@ let run_ec ?(inputs = []) setup stack ~propose_value ~max_instance =
        { (builder_of inputs setup stack) with
          Builder.propose = Some propose_value;
          max_instance })
-
-let run_ec_omega ?inputs setup ~propose_value ~max_instance =
-  run_ec ?inputs setup Builder.Ec ~propose_value ~max_instance
-
-let run_ec_lifted ?inputs setup ~propose_value ~max_instance =
-  run_ec ?inputs setup Builder.Ec_lifted ~propose_value ~max_instance
-
-let run_ec_via_etob ?inputs setup impl ~propose_value ~max_instance =
-  run_ec ?inputs setup (Builder.Ec_via_etob impl) ~propose_value ~max_instance
-
-let run_eic_over_ec ?inputs setup ~propose_value ~max_instance =
-  run_ec ?inputs setup Builder.Eic ~propose_value ~max_instance
-
-let run_ec_via_eic ?inputs setup ~propose_value ~max_instance =
-  run_ec ?inputs setup Builder.Ec_via_eic ~propose_value ~max_instance

@@ -1,8 +1,8 @@
 (* Raw stack wiring: protocols, detectors, workloads and the engine, glued
    together process by process.  This is the bottom layer of the harness —
-   [Builder] composes these runners declaratively, and [Scenario] re-exports
-   them (implemented through the builder) as the stable public entrypoints.
-   Nothing here knows about adversity plans or spec files. *)
+   [Builder] composes these runners declaratively, and [Scenario]'s run_*
+   presets go through the builder.  Nothing here knows about adversity
+   plans or spec files. *)
 
 open Simulator
 open Simulator.Types
@@ -217,7 +217,7 @@ let run_etob_with_commits ?(inputs = []) setup =
   trace
 
 (* Bare EC (Algorithm 4) with the self-driving proposer. *)
-let run_ec_omega ?(inputs = []) setup ~propose_value ~max_instance =
+let run_ec_alg4 ?(inputs = []) setup ~propose_value ~max_instance =
   let omega_of = omega_module setup in
   let make_node ctx =
     let omega, omega_node = omega_of ctx in

@@ -1,9 +1,9 @@
 (** Raw stack wiring: protocols, detectors, workloads and the engine, glued
     together process by process.  The bottom layer of the harness:
     {!Builder} composes these runners declaratively and {!Scenario}
-    re-exports them as the stable public entrypoints.  Tests normally go
-    through those layers; this one exists so the builder has something
-    lower-level than itself to call. *)
+    offers its [run_*] presets over builders.  Setups, detector sources,
+    workloads and per-process nodes are named here directly; the runners
+    exist so the builder has something lower-level than itself to call. *)
 
 open Simulator
 open Simulator.Types
@@ -131,7 +131,7 @@ val run_etob_with_commits :
   ?inputs:(time * proc_id * Io.input) list -> setup -> Trace.t
 (** Algorithm 5 plus the Section 7 committed-prefix indications. *)
 
-val run_ec_omega :
+val run_ec_alg4 :
   ?inputs:(time * proc_id * Io.input) list ->
   setup ->
   propose_value:(proc_id -> instance:int -> Value.t) ->

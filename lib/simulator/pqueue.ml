@@ -4,9 +4,9 @@
    Stability (FIFO order among equal priorities) matters for reproducibility:
    two events scheduled for the same tick are processed in the order they
    were scheduled, so a run is a pure function of the configuration.  The
-   (prio, seq) key is identical to the one used by the original persistent
-   implementation (kept as [Pqueue_persistent]), so the two pop in exactly
-   the same order — a differential test in the suite holds us to that.
+   (prio, seq) key is the one the original persistent leftist heap used, so
+   runs pop in exactly the order they always did — a model test in the
+   suite holds the heap to a stable sorted list.
 
    The heap is mutable on purpose: the engine's event loop is the hottest
    path in the system, and the persistent leftist heap allocated a node per

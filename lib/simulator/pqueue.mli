@@ -2,9 +2,8 @@
     event queue.
 
     Elements with equal priorities are returned in insertion (FIFO) order,
-    which makes simulation runs fully deterministic.  The pop order is
-    identical to {!Pqueue_persistent}, the original persistent leftist heap
-    retained for differential testing. *)
+    which makes simulation runs fully deterministic.  The test suite holds
+    the pop order to a stable sorted-list model. *)
 
 type 'a t
 

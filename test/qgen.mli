@@ -12,9 +12,9 @@
     [Adversity.make]-normalized, so generated plans equal their own
     text-form roundtrip.  Shrinkers are structural — drop whole elements,
     then substitute the strictly weaker variants of
-    [Explore.Adversity.weaken]. *)
+    [Harness.Adversity.weaken]. *)
 
-open Explore
+open Harness
 
 (** {1 Failure patterns, as crash lists} *)
 

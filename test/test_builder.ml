@@ -3,11 +3,12 @@
    - differential: running a declarative builder is byte-identical to the
      raw [Stacks.run_*] wiring it replaced — on the committed golden
      traces and on the anti-entropy and crash-recovery stacks;
-   - text form: [of_lines (to_lines b) = b] over generated builders, and
-     a committed pre-refactor repro file replays through
-     [Builder.of_string] to its recorded digest;
+   - text form: [of_lines (to_lines b) = b] over generated builders, a
+     committed pre-refactor repro file replays through [Builder.of_string]
+     to its recorded digest, and [Builder.replay]'s verdict is two-sided;
    - parse errors: every adversity spec shape rejects malformed lines
-     with an error naming the offence. *)
+     with an error naming the offence, and values the run would reject
+     fail on their own line. *)
 
 open Simulator
 module Builder = Harness.Builder
@@ -132,7 +133,7 @@ let test_scenario_facade_differential () =
   in
   let inputs = Stacks.spread_posts ~n:4 ~count:8 ~from_time:5 ~every:4 in
   let via_scenario =
-    Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5
+    Harness.Scenario.run_etob ~inputs setup Harness.Stacks.Algorithm_5
   in
   let via_stacks = Stacks.run_etob ~inputs setup Stacks.Algorithm_5 in
   Alcotest.(check string) "facade digest"
@@ -165,26 +166,60 @@ let test_legacy_repro_via_builder () =
      | None -> Alcotest.fail "fixture lost its digest header"
      | Some d -> Alcotest.(check string) "digest reproduced" d o.Builder.digest)
 
-(* The same legacy fixture also replays through [Explore.Repro] — the two
-   readers agree on what the file means. *)
-let test_legacy_repro_two_readers_agree () =
-  match Explore.Repro.read "fixtures/legacy_skip_dep.repro" with
-  | Error msg -> Alcotest.failf "repro read: %s" msg
-  | Ok r ->
-    (match Explore.Repro.replay r with
-     | Error msg -> Alcotest.failf "repro replay: %s" msg
-     | Ok outcome ->
-       let content =
-         In_channel.with_open_text "fixtures/legacy_skip_dep.repro"
-           In_channel.input_all
-       in
-       let via_builder =
-         match Builder.of_string content with
-         | Ok b -> (Builder.run ~digest:true b).Builder.digest
-         | Error msg -> Alcotest.failf "builder parse: %s" msg
-       in
-       Alcotest.(check string) "same digest both ways"
-         outcome.Explore.Explorer.digest via_builder)
+(* [Builder.replay] judges both directions: the recorded digest must
+   reproduce, and the run must violate exactly when the text records
+   violations. *)
+let test_replay_verdict_two_sided () =
+  let fixture =
+    In_channel.with_open_text "fixtures/legacy_skip_dep.repro"
+      In_channel.input_all
+  in
+  let without prefixes =
+    String.concat "\n"
+      (List.filter
+         (fun l ->
+            not (List.exists (fun p -> String.starts_with ~prefix:p l) prefixes))
+         (String.split_on_char '\n' fixture))
+  in
+  let clean =
+    String.concat "\n"
+      [ "ecsim-spec v1"; "stack alg5"; "n 3"; "seed 5"; "deadline 120";
+        "timer-period 2"; "delay constant 1";
+        "workload posts count=6 from=8 every=4"; "check etob tau=auto";
+        "plan 0"; "end" ]
+  in
+  let accepts label text =
+    match Builder.replay text with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.failf "%s: rejected: %s" label msg
+  in
+  let rejects label text =
+    match Builder.replay text with
+    | Ok _ -> Alcotest.failf "%s: replay accepted" label
+    | Error _ -> ()
+  in
+  (match Builder.replay fixture with
+   | Ok o ->
+     Alcotest.(check string) "legacy fixture digest"
+       "4c3f32475528c29eb6efa24668b56420" o.Builder.digest
+   | Error msg -> Alcotest.failf "legacy fixture: %s" msg);
+  accepts "clean spec, nothing recorded" clean;
+  rejects "violation and digest stripped" (without [ "violation"; "digest" ]);
+  rejects "violation stripped" (without [ "violation" ]);
+  rejects "wrong digest"
+    (String.concat "\n"
+       (List.map
+          (fun l ->
+             if String.starts_with ~prefix:"digest" l then
+               "digest " ^ String.make 32 '0'
+             else l)
+          (String.split_on_char '\n' fixture)));
+  rejects "clean run, violation recorded"
+    (clean ^ "\nviolation causal-order: made up");
+  rejects "unparseable spec"
+    (String.concat "\n"
+       (List.map (fun l -> if l = "n 3" then "n 0" else l)
+          (String.split_on_char '\n' clean)))
 
 (* New-format spec files: a handwritten spec parses, runs, serializes
    back to an equal builder (normalization is idempotent). *)
@@ -244,19 +279,77 @@ let contains_substring s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* Whole-spec parse errors name the offending line number. *)
+(* Whole-spec parse errors name the offending line number, in both
+   headers — including values the run itself would reject, which must
+   never escape as an [Invalid_argument] mid-run.  Each case replaces one
+   line of a valid spec. *)
 let test_of_lines_names_line () =
-  let text =
-    String.concat "\n"
-      [ "ecsim-spec v1"; "stack alg5"; "n 4"; "seed 5"; "deadline 200";
-        "timer-period 2"; "delay constant 1"; "workload none"; "plan 1";
-        "drop from=1 until=9"; "end" ]
+  let spec =
+    [| "ecsim-spec v1"; "stack alg5"; "n 4"; "seed 5"; "deadline 200";
+       "timer-period 2"; "delay constant 1";
+       "workload posts count=6 from=8 every=4"; "plan 1"; "crash p=1 at=50";
+       "end" |]
   in
-  match Builder.of_string text with
-  | Ok _ -> Alcotest.fail "malformed plan line parsed"
-  | Error msg ->
-    Alcotest.(check bool) "error names line 10" true
-      (contains_substring msg "line 10")
+  let legacy =
+    [| "ecsim-explore-repro v1"; "impl alg5"; "mutant none"; "n 4"; "seed 7";
+       "deadline 240"; "timer-period 2"; "posts 12"; "base-min 1";
+       "base-max 3"; "plan 1"; "crash p=1 at=50"; "end" |]
+  in
+  let with_line base lineno line =
+    String.concat "\n"
+      (Array.to_list (Array.mapi (fun i l -> if i + 1 = lineno then line else l) base))
+  in
+  List.iter
+    (fun base ->
+       match Builder.of_string (with_line base 1 base.(0)) with
+       | Ok _ -> ()
+       | Error msg -> Alcotest.failf "valid base rejected: %s" msg)
+    [ spec; legacy ];
+  List.iter
+    (fun (base, lineno, line) ->
+       (* A replacement may span lines; the error is on its last one. *)
+       let lineno' = lineno + List.length (String.split_on_char '\n' line) - 1 in
+       match Builder.of_string (with_line base lineno line) with
+       | Ok _ -> Alcotest.failf "%S parsed" line
+       | Error msg ->
+         Alcotest.(check bool)
+           (Printf.sprintf "%S: %S names line %d" line msg lineno')
+           true
+           (contains_substring msg (Printf.sprintf "line %d:" lineno')))
+    [ (spec, 10, "drop from=1 until=9");
+      (spec, 3, "n 0");
+      (spec, 3, "n 1");
+      (spec, 5, "deadline -5");
+      (spec, 5, "deadline 0");
+      (spec, 6, "timer-period 0");
+      (spec, 7, "delay constant 0");
+      (spec, 7, "delay uniform min=0 max=3");
+      (spec, 7, "delay uniform min=3 max=1");
+      (spec, 8, "workload posts count=-1 from=8 every=4");
+      (spec, 8, "workload auto count=-3 stretch=off");
+      (spec, 8, "workload explicit\npost 10 9 hello");
+      (spec, 8, "workload explicit\npost -1 0 hello");
+      (spec, 8, "omega elected timeout=0");
+      (spec, 9, "plan -1");
+      (spec, 10, "crash p=9 at=5");
+      (spec, 10, "crash p=-1 at=5");
+      (spec, 10, "crash p=1 at=-5");
+      (spec, 10, "crashrec p=4 at=10 until=20");
+      (spec, 10, "partition left=0,1 from=50 until=20");
+      (spec, 10, "partition left=0,7 from=10 until=20");
+      (spec, 10, "lossy left=0 from=-3 until=9");
+      (spec, 10, "spike link=0>9 from=1 until=9 factor=2");
+      (spec, 10, "drop from=1 until=9 pct=400");
+      (spec, 10, "drop from=1 until=9 pct=0");
+      (legacy, 4, "n 0");
+      (legacy, 6, "deadline -5");
+      (legacy, 7, "timer-period 0");
+      (legacy, 8, "posts -1");
+      (legacy, 9, "base-min 0");
+      (legacy, 10, "base-max 0");
+      (legacy, 11, "plan -2");
+      (legacy, 12, "crash p=9 at=5");
+      (legacy, 12, "drop from=1 until=9 pct=400") ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -276,8 +369,8 @@ let () =
       ("text form",
        [ Alcotest.test_case "legacy repro via builder" `Quick
            test_legacy_repro_via_builder;
-         Alcotest.test_case "legacy repro: two readers agree" `Quick
-           test_legacy_repro_two_readers_agree;
+         Alcotest.test_case "replay verdict is two-sided" `Quick
+           test_replay_verdict_two_sided;
          Alcotest.test_case "spec text idempotent" `Quick
            test_spec_text_idempotent ]
        @ qc [ prop_spec_roundtrip ]);

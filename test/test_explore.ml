@@ -1,13 +1,22 @@
 (* Tests for the adversarial exploration subsystem: adversity plans and
    their stable text form, the engine's link-fault injection, the bounded
-   explorer with its greedy shrinker, repro files, and the property-based
-   checks the explorer rests on (causal order under arbitrary adversity,
-   differential agreement across the three ETOB stacks). *)
+   explorer with its greedy shrinker, findings replayed from spec text,
+   and the property-based checks the explorer rests on (causal order under
+   arbitrary adversity, differential agreement across the three ETOB
+   stacks). *)
 
 open Simulator
 open Ec_core
 open Explore
+module Adversity = Harness.Adversity
+module Builder = Harness.Builder
 module Scenario = Harness.Scenario
+module Stacks = Harness.Stacks
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
 (* Adversity: text form                                                *)
@@ -66,15 +75,15 @@ let prop_weaken_never_extends_settle =
 (* ------------------------------------------------------------------ *)
 
 let fault_setup faults =
-  { (Scenario.default ~n:3 ~deadline:100) with
+  { (Stacks.default ~n:3 ~deadline:100) with
     faults;
     delay = Net.uniform ~min:1 ~max:3 }
 
-let fault_inputs = Scenario.spread_posts ~n:3 ~count:6 ~from_time:8 ~every:3
+let fault_inputs = Stacks.spread_posts ~n:3 ~count:6 ~from_time:8 ~every:3
 
 let run_with_faults faults =
   Scenario.run_etob ~inputs:fault_inputs (fault_setup faults)
-    Scenario.Algorithm_5
+    Stacks.Algorithm_5
 
 let test_no_faults_instantiates_to_none () =
   (match Net.instantiate_faults Net.no_faults with
@@ -134,6 +143,31 @@ let test_compose_faults_drop_wins () =
 
 let target mutation = { Explorer.default_target with Explorer.mutation }
 
+(* A finding as the explorer writes it: spec text with its digest and
+   violations recorded. *)
+let spec_text t (o : Explorer.outcome) =
+  Builder.to_string ~digest:o.Explorer.digest ~violations:o.Explorer.violations
+    (Explorer.builder_of t ~seed:o.Explorer.seed o.Explorer.plan)
+
+(* Find, shrink and replay one mutant from its spec text: the replay must
+   reproduce the recorded digest.  Returns the shrunk finding. *)
+let find_and_replay ~name t =
+  let e = Explorer.explore t ~seed:1 ~budget:200 ~max_adversities:4 () in
+  match e.Explorer.found with
+  | None -> Alcotest.failf "mutant %s not found within 200 plans" name
+  | Some o ->
+    let shrunk = Explorer.shrink t o in
+    Alcotest.(check bool) (name ^ ": still violates") true
+      (shrunk.Explorer.violations <> []);
+    Alcotest.(check bool) (name ^ ": shrunk to <= 3 adversities") true
+      (Adversity.size shrunk.Explorer.plan <= 3);
+    (match Builder.replay (spec_text t shrunk) with
+     | Ok o ->
+       Alcotest.(check string) (name ^ ": digest reproduced")
+         shrunk.Explorer.digest o.Builder.digest
+     | Error e -> Alcotest.failf "%s: replay: %s" name e);
+    shrunk
+
 let test_explore_faithful_clean () =
   let e = Explorer.explore (target None) ~seed:1 ~budget:60 ~max_adversities:4 () in
   (match e.Explorer.found with
@@ -157,29 +191,11 @@ let test_explore_parallel_matches_sequential () =
 
 (* The mutation-test harness: every seeded single-decision bug of
    Algorithm 5 must be caught within a smoke-sized budget, shrink to at
-   most 3 adversities, and leave a repro that replays byte-identically
-   after a text roundtrip. *)
+   most 3 adversities, and leave spec text that replays byte-identically. *)
 let test_explore_finds_all_mutants () =
   List.iter
     (fun m ->
-       let name = Etob_omega.mutation_name m in
-       let t = target (Some m) in
-       let e = Explorer.explore t ~seed:1 ~budget:200 ~max_adversities:4 () in
-       match e.Explorer.found with
-       | None -> Alcotest.failf "mutant %s not found within 200 plans" name
-       | Some o ->
-         let shrunk = Explorer.shrink t o in
-         Alcotest.(check bool) (name ^ ": still violates") true
-           (shrunk.Explorer.violations <> []);
-         Alcotest.(check bool) (name ^ ": shrunk to <= 3 adversities") true
-           (Adversity.size shrunk.Explorer.plan <= 3);
-         let repro = Repro.of_outcome t shrunk in
-         (match Repro.of_string (Repro.to_string repro) with
-          | Error e -> Alcotest.failf "%s: repro parse: %s" name e
-          | Ok reread ->
-            (match Repro.replay reread with
-             | Ok _ -> ()
-             | Error e -> Alcotest.failf "%s: replay: %s" name e)))
+       ignore (find_and_replay ~name:(Etob_omega.mutation_name m) (target (Some m))))
     Etob_omega.all_mutations
 
 let test_repro_replay_rejects_wrong_digest () =
@@ -188,12 +204,106 @@ let test_repro_replay_rejects_wrong_digest () =
   match e.Explorer.found with
   | None -> Alcotest.fail "mutant not found"
   | Some o ->
-    let repro =
-      { (Repro.of_outcome t o) with Repro.digest = String.make 32 '0' }
+    let tampered =
+      { o with Explorer.digest = String.make 32 '0' }
     in
-    (match Repro.replay repro with
+    (match Builder.replay (spec_text t tampered) with
      | Error _ -> ()
      | Ok _ -> Alcotest.fail "digest mismatch must fail the replay")
+
+(* The anti-entropy namespace: the skip-digest mutant under the watchdog
+   is found, shrunk and replayed from its spec text like the others. *)
+let test_explore_finds_ae_mutant () =
+  let t =
+    { Explorer.default_target with
+      Explorer.ae = true;
+      watchdog = true;
+      ae_mutation = Some Anti_entropy.Skip_digest }
+  in
+  ignore (find_and_replay ~name:"skip-digest" t)
+
+(* [target_of] inverts [builder_of] on every explorer target: all three
+   mutation namespaces, recovery, anti-entropy and the watchdog on and
+   off. *)
+let target_gen =
+  let open QCheck.Gen in
+  let some l = oneofl (None :: List.map Option.some l) in
+  let* impl =
+    oneofl
+      [ Stacks.Algorithm_5; Stacks.Paxos_baseline; Stacks.Algorithm_1_over_4 ]
+  in
+  let* mutation = some Etob_omega.all_mutations in
+  let* rmutation = some Recoverable.all_mutations in
+  let* ae_mutation = some Anti_entropy.all_mutations in
+  let* recovery = bool in
+  let* ae = bool in
+  let* watchdog = bool in
+  let* n = int_range 2 6 in
+  let* deadline = int_range 60 400 in
+  let* posts = int_range 0 20 in
+  let* timer_period = int_range 1 4 in
+  let* base_min = int_range 1 3 in
+  let* span = int_range 0 3 in
+  let* seed = int_range 0 999 in
+  return
+    ( { Explorer.impl;
+        mutation;
+        n;
+        deadline;
+        posts;
+        timer_period;
+        base_min;
+        base_max = base_min + span;
+        recovery;
+        rmutation;
+        ae;
+        ae_mutation;
+        watchdog },
+      seed )
+
+let prop_target_of_inverts_builder_of =
+  QCheck.Test.make ~name:"explorer: target_of inverts builder_of" ~count:300
+    (QCheck.make
+       ~print:(fun (t, seed) -> Builder.to_string (Explorer.builder_of t ~seed []))
+       target_gen)
+    (fun (t, seed) ->
+       let b = Explorer.builder_of t ~seed [] in
+       match Explorer.target_of b with
+       | Ok t' -> Explorer.builder_of t' ~seed [] = b
+       | Error msg -> QCheck.Test.fail_reportf "target_of rejected: %s" msg)
+
+(* A spec exploration cannot express is rejected with the clause named,
+   instead of being explored as a different run. *)
+let test_target_of_names_the_clause () =
+  let spec ?(stack = "recoverable") extra =
+    String.concat "\n"
+      ([ "ecsim-spec v1"; "stack " ^ stack; "n 4"; "seed 3";
+         "deadline 240"; "timer-period 2"; "delay uniform min=1 max=3" ]
+       @ extra @ [ "check etob tau=auto"; "plan 0"; "end" ])
+  in
+  let verdict text =
+    match Builder.of_string text with
+    | Error msg -> Alcotest.failf "spec parse: %s" msg
+    | Ok b -> Explorer.target_of b
+  in
+  (match verdict (spec [ "workload auto count=12 stretch=on"; "budget 50" ]) with
+   | Ok t -> Alcotest.(check bool) "recovery target" true t.Explorer.recovery
+   | Error msg -> Alcotest.failf "expressible spec rejected: %s" msg);
+  List.iter
+    (fun (label, stack, extra, clause) ->
+       match verdict (spec ~stack extra) with
+       | Ok _ -> Alcotest.failf "%s: accepted" label
+       | Error msg ->
+         Alcotest.(check bool)
+           (Printf.sprintf "%s: %S names %S" label msg clause)
+           true (contains msg clause))
+    [ ("stretch off", "recoverable", [ "workload auto count=12 stretch=off" ],
+       "stack recoverable");
+      ("omega clause", "recoverable",
+       [ "omega elected timeout=6"; "workload auto count=12 stretch=on" ],
+       "omega elected timeout=6");
+      ("posts workload", "alg5", [ "workload posts count=6 from=8 every=4" ],
+       "workload posts count=6 from=8 every=4") ]
 
 (* ------------------------------------------------------------------ *)
 (* Recovery: explorer, repro format, parse errors                      *)
@@ -201,8 +311,8 @@ let test_repro_replay_rejects_wrong_digest () =
 
 (* The recovery analogue of the mutation-test harness: restarting with
    amnesia must be caught within a smoke-sized budget, shrink small, and
-   leave a replayable repro (whose text form carries the recovery
-   headers). *)
+   leave replayable spec text that reads back as the same recovery
+   target. *)
 let test_explore_finds_recovery_mutants () =
   List.iter
     (fun m ->
@@ -212,26 +322,16 @@ let test_explore_finds_recovery_mutants () =
            Explorer.recovery = true;
            rmutation = Some m }
        in
-       let e = Explorer.explore t ~seed:1 ~budget:200 ~max_adversities:4 () in
-       match e.Explorer.found with
-       | None -> Alcotest.failf "mutant %s not found within 200 plans" name
-       | Some o ->
-         let shrunk = Explorer.shrink t o in
-         Alcotest.(check bool) (name ^ ": still violates") true
-           (shrunk.Explorer.violations <> []);
-         Alcotest.(check bool) (name ^ ": shrunk to <= 3 adversities") true
-           (Adversity.size shrunk.Explorer.plan <= 3);
-         let repro = Repro.of_outcome t shrunk in
-         (match Repro.of_string (Repro.to_string repro) with
-          | Error e -> Alcotest.failf "%s: repro parse: %s" name e
-          | Ok reread ->
-            Alcotest.(check bool) (name ^ ": recovery header survives") true
-              reread.Repro.target.Explorer.recovery;
-            Alcotest.(check bool) (name ^ ": rmutant header survives") true
-              (reread.Repro.target.Explorer.rmutation = Some m);
-            (match Repro.replay reread with
-             | Ok _ -> ()
-             | Error e -> Alcotest.failf "%s: replay: %s" name e)))
+       let shrunk = find_and_replay ~name t in
+       match
+         Result.bind (Builder.of_string (spec_text t shrunk)) Explorer.target_of
+       with
+       | Error e -> Alcotest.failf "%s: target_of: %s" name e
+       | Ok t' ->
+         Alcotest.(check bool) (name ^ ": recovery survives") true
+           t'.Explorer.recovery;
+         Alcotest.(check bool) (name ^ ": rmutant survives") true
+           (t'.Explorer.rmutation = Some m))
     Recoverable.all_mutations
 
 (* A faithful run under a recovery plan must stay clean — the explorer's
@@ -246,49 +346,39 @@ let test_explore_faithful_recovery_clean () =
       (String.concat "; " o.Explorer.violations)
       (String.concat "; " (Adversity.to_lines o.Explorer.plan))
 
-(* Malformed and truncated repro files fail with the offending line
-   named, never an escaping exception. *)
+(* Malformed and truncated legacy repro files fail with the offending
+   line named, never an escaping exception. *)
 let test_repro_parse_errors_name_the_line () =
-  let t =
-    { Explorer.default_target with
-      Explorer.recovery = true;
-      rmutation = Some Recoverable.Skip_log_replay }
+  let lines =
+    [ "ecsim-explore-repro v1"; "impl alg5"; "mutant none"; "n 4";
+      "recovery on"; "rmutant skip-log-replay"; "seed 7"; "deadline 240";
+      "timer-period 2"; "posts 12"; "base-min 1"; "base-max 3";
+      "digest " ^ String.make 32 'a';
+      "violation distinct-broadcasts: something"; "plan 2";
+      "crashrec p=1 at=40 until=80"; "disk p=1 kind=torn"; "end" ]
   in
-  let repro =
-    { Repro.target = t;
-      seed = 7;
-      plan =
-        [ Adversity.Crash_recover { proc = 1; at = 40; recover_at = 80 };
-          Adversity.Disk_fault { proc = 1; kind = Persist.Store.Torn_tail } ];
-      digest = String.make 32 'a';
-      violations = [ "distinct-broadcasts: something" ] }
-  in
-  let text = Repro.to_string repro in
-  (* The well-formed file parses back to the same value. *)
-  (match Repro.of_string text with
-   | Ok r ->
+  let text = String.concat "\n" lines in
+  (* The well-formed file parses to the recovery builder it describes. *)
+  (match Builder.of_string text with
+   | Ok b ->
      Alcotest.(check bool) "roundtrip" true
-       (r.Repro.plan = repro.Repro.plan && r.Repro.seed = 7
-        && r.Repro.target.Explorer.recovery
-        && r.Repro.target.Explorer.rmutation
-           = Some Recoverable.Skip_log_replay)
+       (b.Builder.plan
+        = [ Adversity.Crash_recover { proc = 1; at = 40; recover_at = 80 };
+            Adversity.Disk_fault { proc = 1; kind = Persist.Store.Torn_tail } ]
+        && Builder.seed_of b = 7
+        && b.Builder.stack = Builder.Recoverable { ae = false }
+        && b.Builder.rmutation = Some Recoverable.Skip_log_replay)
    | Error e -> Alcotest.failf "well-formed file rejected: %s" e);
   let expect_error label mangled fragment =
-    match Repro.of_string mangled with
+    match Builder.of_string mangled with
     | Ok _ -> Alcotest.failf "%s: accepted" label
     | Error msg ->
-      let contains s sub =
-        let n = String.length s and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-        m = 0 || go 0
-      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %S names the problem (%S)" label msg fragment)
         true (contains msg fragment)
   in
   expect_error "empty file" "" "empty file";
   expect_error "wrong header" "not a repro\nimpl alg5\n" "line 1";
-  let lines = String.split_on_char '\n' text in
   let mangle i f =
     String.concat "\n" (List.mapi (fun j l -> if j = i then f l else l) lines)
   in
@@ -306,14 +396,8 @@ let test_repro_parse_errors_name_the_line () =
     "missing end";
   (* Damage one adversity line inside the plan section. *)
   expect_error "bad adversity"
-    (String.concat "\n"
-       (List.map
-          (fun l ->
-             if String.length l >= 8 && String.sub l 0 8 = "crashrec"
-             then "crashrec p=1 at=80 until=40"
-             else l)
-          lines))
-    "line"
+    (mangle 15 (fun _ -> "crashrec p=1 at=80 until=40"))
+    "line 16"
 
 (* ------------------------------------------------------------------ *)
 (* Safety under arbitrary adversity (property-based)                   *)
@@ -383,13 +467,13 @@ let prop_random_pattern_within_contract =
 (* ------------------------------------------------------------------ *)
 
 let impls =
-  [ Scenario.Algorithm_5; Scenario.Paxos_baseline; Scenario.Algorithm_1_over_4 ]
+  [ Stacks.Algorithm_5; Stacks.Paxos_baseline; Stacks.Algorithm_1_over_4 ]
 
 let final_run impl ~seed =
   let t = { Explorer.default_target with Explorer.impl } in
   let setup = Explorer.base_setup t ~seed in
   let trace = Scenario.run_etob ~inputs:(Explorer.inputs t) setup impl in
-  Properties.etob_run_of_trace setup.Scenario.pattern trace
+  Properties.etob_run_of_trace setup.Stacks.pattern trace
 
 let sorted_ids run proc =
   List.sort compare (List.map App_msg.id (Properties.final_d run proc))
@@ -454,7 +538,12 @@ let () =
          Alcotest.test_case "finds all mutants" `Quick
            test_explore_finds_all_mutants;
          Alcotest.test_case "replay rejects wrong digest" `Quick
-           test_repro_replay_rejects_wrong_digest ]);
+           test_repro_replay_rejects_wrong_digest;
+         Alcotest.test_case "finds the anti-entropy mutant" `Quick
+           test_explore_finds_ae_mutant;
+         Alcotest.test_case "target_of names the clause" `Quick
+           test_target_of_names_the_clause ]
+       @ qc [ prop_target_of_inverts_builder_of ]);
       ("recovery",
        [ Alcotest.test_case "finds recovery mutants" `Quick
            test_explore_finds_recovery_mutants;

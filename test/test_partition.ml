@@ -1,12 +1,13 @@
 (* Partition-hardening tests: lossy/one-way/flapping fault models, the
    multi-window partition schedules, the anti-entropy catch-up layer, the
-   convergence watchdog and the partition-aware repro headers — plus the
-   QCheck safety property over arbitrary message-losing schedules composed
-   with crash-recovery plans. *)
+   convergence watchdog and the partition-aware legacy repro headers — plus
+   the QCheck safety property over arbitrary message-losing schedules
+   composed with crash-recovery plans. *)
 
 open Simulator
 open Ec_core
 open Explore
+module Adversity = Harness.Adversity
 
 let rng = Rng.create 3
 
@@ -136,19 +137,19 @@ let posts = 12
 let last_post = 8 + ((posts - 1) * 8)
 
 let partition_setup () =
-  { (Harness.Scenario.default ~n ~deadline) with
-    Harness.Scenario.delay = Net.uniform ~min:1 ~max:3;
+  { (Harness.Stacks.default ~n ~deadline) with
+    Harness.Stacks.delay = Net.uniform ~min:1 ~max:3;
     faults =
       Net.lossy_partition
         { Net.blocks = [ [ 0; 1; 2 ]; [ 3 ] ];
           from_time = cut_from;
           until_time = cut_until };
-    omega = Harness.Scenario.Oracle { stabilize_at = 0; pre = Detectors.Omega.Self_trust } }
+    omega = Harness.Stacks.Oracle { stabilize_at = 0; pre = Detectors.Omega.Self_trust } }
 
 let run_partitioned ?ae_mutation ?(mode = Anti_entropy.Digest) () =
   let setup = partition_setup () in
   let inputs =
-    Harness.Scenario.spread_posts ~n ~count:posts ~from_time:8 ~every:8
+    Harness.Stacks.spread_posts ~n ~count:posts ~from_time:8 ~every:8
   in
   let trace, handles =
     Harness.Scenario.run_etob_ae ~inputs
@@ -156,7 +157,7 @@ let run_partitioned ?ae_mutation ?(mode = Anti_entropy.Digest) () =
       ?ae_mutation setup
   in
   let run =
-    Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace
+    Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace
   in
   (run, handles)
 
@@ -254,57 +255,55 @@ let test_adversity_settles_at_heal () =
          (Adversity.settle_time ~base_max:3 [ spec ]))
     roundtrip_specs
 
+(* A legacy repro file carrying the partition-aware headers (ae,
+   ae-mutant, watchdog) reads through [Builder.of_string] as the
+   anti-entropy stack under the watchdog, with its plan verbatim. *)
+let legacy_partition_lines =
+  [ "ecsim-explore-repro v1"; "impl alg5"; "mutant none"; "n 4"; "ae on";
+    "ae-mutant skip-digest"; "watchdog on"; "seed 46"; "deadline 240";
+    "timer-period 2"; "posts 12"; "base-min 1"; "base-max 3"; "digest -";
+    "violation liveness: p3 not converged by 140";
+    Printf.sprintf "plan %d" (List.length roundtrip_specs) ]
+  @ Adversity.to_lines roundtrip_specs
+  @ [ "end" ]
+
 let test_repro_roundtrip_partition_headers () =
-  let target =
-    { Explorer.default_target with
-      Explorer.ae = true;
-      watchdog = true;
-      ae_mutation = Some Anti_entropy.Skip_digest }
-  in
-  let repro =
-    { Repro.target;
-      seed = 46;
-      plan = roundtrip_specs;
-      digest = "";
-      violations = [ "liveness: p3 not converged by 140" ] }
-  in
-  match Repro.of_string (Repro.to_string repro) with
-  | Error msg -> Alcotest.failf "roundtrip parse: %s" msg
-  | Ok r ->
-    Alcotest.(check bool) "ae preserved" true r.Repro.target.Explorer.ae;
+  match Harness.Builder.of_string (String.concat "\n" legacy_partition_lines) with
+  | Error msg -> Alcotest.failf "legacy parse: %s" msg
+  | Ok b ->
+    Alcotest.(check string) "ae stack" "alg5+ae"
+      (Harness.Builder.stack_name b.Harness.Builder.stack);
     Alcotest.(check bool) "watchdog preserved" true
-      r.Repro.target.Explorer.watchdog;
+      (List.mem (Harness.Builder.Watchdog Harness.Builder.Wd_auto)
+         b.Harness.Builder.checkers);
     Alcotest.(check bool) "ae-mutant preserved" true
-      (r.Repro.target.Explorer.ae_mutation = Some Anti_entropy.Skip_digest);
+      (b.Harness.Builder.ae_mutation = Some Anti_entropy.Skip_digest);
     Alcotest.(check (list string)) "plan preserved"
-      (Adversity.to_lines repro.Repro.plan)
-      (Adversity.to_lines r.Repro.plan);
-    Alcotest.(check string) "byte-stable text" (Repro.to_string repro)
-      (Repro.to_string r)
+      (Adversity.to_lines roundtrip_specs)
+      (Adversity.to_lines b.Harness.Builder.plan);
+    (match Explorer.target_of b with
+     | Error msg -> Alcotest.failf "target_of: %s" msg
+     | Ok t ->
+       Alcotest.(check bool) "target ae and watchdog" true
+         (t.Explorer.ae && t.Explorer.watchdog))
 
 let test_repro_bad_header_names_line () =
-  let target = { Explorer.default_target with Explorer.ae = true } in
-  let repro =
-    { Repro.target; seed = 1; plan = []; digest = ""; violations = [] }
-  in
   let mangled =
-    String.concat "\n"
-      (List.map
-         (fun l -> if l = "ae on" then "ae maybe" else l)
-         (String.split_on_char '\n' (Repro.to_string repro)))
+    List.map (fun l -> if l = "ae on" then "ae maybe" else l)
+      legacy_partition_lines
   in
-  match Repro.of_string mangled with
+  match Harness.Builder.of_string (String.concat "\n" mangled) with
   | Ok _ -> Alcotest.fail "mangled ae header parsed"
   | Error msg ->
     let contains_line =
       let len = String.length msg in
       let rec scan i =
-        i + 4 <= len && (String.sub msg i 4 = "line" || scan (i + 1))
+        i + 6 <= len && (String.sub msg i 6 = "line 5" || scan (i + 1))
       in
       scan 0
     in
     Alcotest.(check bool)
-      (Printf.sprintf "error names the line: %s" msg)
+      (Printf.sprintf "error names line 5: %s" msg)
       true contains_line
 
 (* ------------------------------------------------------------------ *)

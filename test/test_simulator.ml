@@ -55,19 +55,6 @@ let run_mutable cmds =
   in
   List.rev !pops @ drain []
 
-let run_persistent cmds =
-  let q = ref Pqueue_persistent.empty in
-  let pops = ref [] in
-  List.iteri
-    (fun seq (prio, pop_now) ->
-       q := Pqueue_persistent.insert !q ~prio seq;
-       if pop_now then
-         match Pqueue_persistent.pop !q with
-         | Some ((p, s), q') -> q := q'; pops := (p, s) :: !pops
-         | None -> ())
-    cmds;
-  List.rev !pops @ Pqueue_persistent.to_sorted_list !q
-
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue: pop order is a stable sort" ~count:300
     QCheck.(list (pair (int_bound 50) small_int))
@@ -76,18 +63,10 @@ let prop_pqueue_sorts =
        let expected = List.stable_sort (fun (a, _) (b, _) -> compare a b) items in
        popped = expected)
 
-(* Differential test: on random insert/pop interleavings, the mutable
-   binary heap and the retained persistent leftist heap pop exactly the
-   same (prio, seq) sequence — the heap swap is order-preserving. *)
-let prop_pqueue_differential =
-  QCheck.Test.make ~name:"pqueue: binary heap = persistent heap" ~count:500
-    interleave_gen
-    (fun cmds -> run_mutable cmds = run_persistent cmds)
-
-(* Model test exercised against BOTH implementations: each matches a
-   stable sorted-list model of the same interleaving.  The model list stays
-   sorted by (prio, seq); an insert walks past every smaller-or-equal
-   entry, O(k) instead of a re-sort. *)
+(* Model test: the mutable heap matches a stable sorted-list model of the
+   same insert/pop interleaving.  The model list stays sorted by
+   (prio, seq); an insert walks past every smaller-or-equal entry, O(k)
+   instead of a re-sort. *)
 let rec insert_sorted x = function
   | y :: rest when compare y x <= 0 -> y :: insert_sorted x rest
   | l -> x :: l
@@ -106,11 +85,9 @@ let sorted_model cmds =
   List.rev !pops @ !xs
 
 let prop_pqueue_vs_model =
-  QCheck.Test.make ~name:"pqueue: both heaps match the sorted-list model"
+  QCheck.Test.make ~name:"pqueue: binary heap matches the sorted-list model"
     ~count:500 interleave_gen
-    (fun cmds ->
-       let model = sorted_model cmds in
-       run_mutable cmds = model && run_persistent cmds = model)
+    (fun cmds -> run_mutable cmds = sorted_model cmds)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -865,7 +842,7 @@ let prop_engine_reliable_links =
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest
-      [ prop_pqueue_sorts; prop_pqueue_differential; prop_pqueue_vs_model;
+      [ prop_pqueue_sorts; prop_pqueue_vs_model;
         prop_random_pattern_has_correct; prop_random_pattern_t_resilient;
         prop_random_admitted_env; prop_engine_reliable_links ]
   in
