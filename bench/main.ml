@@ -14,6 +14,17 @@ let section id title =
 
 let row fmt = Printf.printf (fmt ^^ "\n%!")
 
+(* Write one machine-readable BENCH_*.json artifact: into bench/ when run
+   from the repository root, else into the working directory. *)
+let write_artifact name json =
+  let path =
+    if Sys.file_exists "bench" && Sys.is_directory "bench" then
+      Filename.concat "bench" name
+    else name
+  in
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
+  row "  wrote %s" path
+
 let oracle ?(pre = Detectors.Omega.Self_trust) stabilize_at =
   Harness.Stacks.Oracle { stabilize_at; pre }
 
@@ -715,13 +726,7 @@ let e15 () =
             rows))
       (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_sweep.json"
-    else "BENCH_sweep.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_artifact "BENCH_sweep.json" json
 
 (* ------------------------------------------------------------------ *)
 (* E16: adversarial explorer — detection budget per seeded mutant      *)
@@ -867,13 +872,7 @@ let e17 () =
       (String.concat ",\n" json_rows)
       (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_recovery.json"
-    else "BENCH_recovery.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_artifact "BENCH_recovery.json" json
 
 (* ------------------------------------------------------------------ *)
 (* E18: lossy-partition heal — anti-entropy digest vs flood            *)
@@ -970,13 +969,7 @@ let e18 () =
       (String.concat ",\n" [ d_json; f_json ])
       (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_partition.json"
-    else "BENCH_partition.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_artifact "BENCH_partition.json" json
 
 (* ------------------------------------------------------------------ *)
 (* E19: detlint hygiene gate — scan speed and cleanliness              *)
@@ -1029,13 +1022,7 @@ let e19 () =
          \"within_budget\": true,\n  %s\n}\n"
         result.Lint.Driver.files findings allowed elapsed budget (gc_fields ())
     in
-    let path =
-      if Sys.file_exists "bench" && Sys.is_directory "bench"
-      then Filename.concat "bench" "BENCH_lint.json"
-      else "BENCH_lint.json"
-    in
-    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-    row "  wrote %s" path
+    write_artifact "BENCH_lint.json" json
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1250,13 +1237,7 @@ let e20a () =
       jsonl_bytes bin_bytes ser_speedup n_records (rec_rate md5_rate)
       (rec_rate crc_rate) wal_speedup (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_trace.json"
-    else "BENCH_trace.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_artifact "BENCH_trace.json" json
 
 (* ------------------------------------------------------------------ *)
 (* E21: crash-safe soak campaign — journal overhead + resume speedup   *)
@@ -1373,13 +1354,7 @@ let e21 () =
       total run_ms jobs_per_s journal_bytes bytes_per_job resume_ms replay_ms
       replay_speedup (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_soak.json"
-    else "BENCH_soak.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path;
+  write_artifact "BENCH_soak.json" json;
   Sys.remove journal;
   Sys.remove half_journal
 
@@ -1433,13 +1408,7 @@ let e22 () =
   row "  expected: ETOB serves the minority through speculative degradation;";
   row "  Paxos writes die without a majority.  All four gates are enforced.";
   let json = Service.Experiment.to_json result in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_service.json"
-    else "BENCH_service.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path;
+  write_artifact "BENCH_service.json" json;
   if not result.Service.Experiment.pass then
     failwith "E22: a service-layer gate failed (see the table above)"
 
@@ -1533,13 +1502,7 @@ let e23 () =
                  name steps minor major b)
             rows))
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_alloc.json"
-    else "BENCH_alloc.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_artifact "BENCH_alloc.json" json
 
 (* ------------------------------------------------------------------ *)
 

@@ -222,14 +222,18 @@ let with_seed b seed =
 (* Commands                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let print_report setup trace ~verbose =
+(* [report] is the run's own ETOB report when its checkers computed one;
+   the extraction is still needed for the final delivered sequences. *)
+let print_report setup trace ~report ~verbose =
   if verbose then begin
     print_endline "--- trace ---";
     List.iter (fun e -> Format.printf "%a@." Trace.pp_entry e) (Trace.entries trace);
     print_endline "--- end trace ---"
   end;
   let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
-  let report = Properties.etob_report run in
+  let report =
+    match report with Some r -> r | None -> Properties.etob_report run
+  in
   Format.printf "pattern: %a@." Failures.pp setup.Harness.Stacks.pattern;
   Format.printf "messages sent: %d, delivered: %d, dropped: %d@."
     (Trace.sent trace) (Trace.delivered trace) (Trace.dropped trace);
@@ -256,7 +260,7 @@ let execute_report b ~verbose ~timeline =
   let trace = match o.Builder.trace with Some t -> t | None -> assert false in
   if timeline then
     print_string (Harness.Timeline.render ~pattern:setup.Harness.Stacks.pattern trace);
-  let report = print_report setup trace ~verbose in
+  let report = print_report setup trace ~report:o.Builder.report ~verbose in
   List.iter (fun v -> Format.printf "spec violation: %s@." v) o.Builder.violations;
   Format.printf "trace digest %s@." o.Builder.digest;
   (report, o)
@@ -771,10 +775,8 @@ let explore_cmd =
                |> Result.map (fun t ->
                    (t, Option.value b.Builder.budget ~default:plans)))
           | None ->
-            (match E.impl_of_string impl_name with
-             | None ->
-               Error ("unknown implementation for explore: " ^ impl_name)
-             | Some impl ->
+            (match List.assoc_opt impl_name impls with
+             | Some (Builder.Etob impl) ->
                (match
                   Option.map
                     (fun name ->
@@ -823,7 +825,9 @@ let explore_cmd =
                         posts =
                           (if posts = 0 then E.default_target.E.posts
                            else posts) },
-                      plans )))
+                      plans ))
+             | _ ->
+               Error ("unknown implementation for explore: " ^ impl_name))
         in
         match target_result with
         | Error msg -> `Error (false, msg)
@@ -831,7 +835,7 @@ let explore_cmd =
           Format.printf
             "explore: impl=%s mutant=%s recovery=%b ae=%b watchdog=%b \
              n=%d plans=%d max-adversities=%d domains=%d@."
-            (E.impl_name target.E.impl)
+            (Builder.stack_name (Builder.Etob target.E.impl))
             (match
                target.E.mutation, target.E.rmutation, target.E.ae_mutation
              with

@@ -61,64 +61,37 @@ let default_target =
     ae_mutation = None;
     watchdog = false }
 
-(* Names match the ecsim --impl catalogue. *)
-let impl_name = function
-  | Stacks.Algorithm_5 -> "alg5"
-  | Stacks.Paxos_baseline -> "paxos"
-  | Stacks.Algorithm_1_over_4 -> "alg1"
-
-let impl_of_string = function
-  | "alg5" -> Some Stacks.Algorithm_5
-  | "paxos" -> Some Stacks.Paxos_baseline
-  | "alg1" -> Some Stacks.Algorithm_1_over_4
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Targets as builders                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The anti-entropy stack only wraps Algorithm 5 (it reads and feeds the
-   causality graph); it runs whenever the target opts in or seeds an
-   anti-entropy mutation. *)
-let uses_ae target =
-  target.impl = Stacks.Algorithm_5
-  && (target.ae || target.ae_mutation <> None)
-
-(* The recoverable stack wraps Algorithm 5 only; it runs whenever the
-   target opts in, a recovery mutation is seeded, or the plan itself
-   contains recovery adversities (downtime windows are only fair against a
-   stack that can replay its stable store). *)
-let uses_recovery target plan =
-  target.impl = Stacks.Algorithm_5
-  && (target.recovery || target.rmutation <> None
-      || Adversity.has_recovery plan)
-
-(* The builder a target denotes under one plan: stack selection as above,
-   the explorer's posting policy as an [Auto_posts] workload, the ETOB
-   checker with the plan-aware tau bound, and the liveness watchdog when
-   the target opts in.  Everything downstream — running, bounds, spec
-   text, replay — is the builder's. *)
+(* The builder a target denotes under one plan: the explorer's posting
+   policy as an [Auto_posts] workload, the ETOB checker with the
+   plan-aware tau bound, the liveness watchdog when the target opts in,
+   and the stack [Builder.target_stack] selects for the mutations and
+   plan.  Everything downstream — running, bounds, spec text, replay — is
+   the builder's. *)
 let builder_of target ~seed plan =
-  let stack =
-    if uses_recovery target plan then
-      Builder.Recoverable { ae = uses_ae target }
-    else if uses_ae target then Builder.Etob_ae
-    else Builder.Etob target.impl
+  let b =
+    { (Builder.create ~seed ~timer_period:target.timer_period
+         ~delay:
+           (Builder.Uniform { min_d = target.base_min; max_d = target.base_max })
+         ~n:target.n ~deadline:target.deadline (Builder.Etob target.impl))
+      with
+      Builder.workload =
+        Builder.Auto_posts { count = target.posts; stretch = target.recovery };
+      plan;
+      mutation = target.mutation;
+      rmutation = target.rmutation;
+      ae_mutation = target.ae_mutation;
+      checkers =
+        Builder.Etob_spec Builder.Tau_auto
+        :: (if target.watchdog then [ Builder.Watchdog Builder.Wd_auto ] else [])
+    }
   in
-  { (Builder.create ~seed ~timer_period:target.timer_period
-       ~delay:
-         (Builder.Uniform { min_d = target.base_min; max_d = target.base_max })
-       ~n:target.n ~deadline:target.deadline stack)
-    with
-    Builder.workload =
-      Builder.Auto_posts { count = target.posts; stretch = target.recovery };
-    plan;
-    mutation = target.mutation;
-    rmutation = target.rmutation;
-    ae_mutation = target.ae_mutation;
-    checkers =
-      Builder.Etob_spec Builder.Tau_auto
-      :: (if target.watchdog then [ Builder.Watchdog Builder.Wd_auto ] else [])
+  { b with
+    Builder.stack =
+      Builder.target_stack target.impl ~recovery:target.recovery ~ae:target.ae b
   }
 
 (* The inverse direction, for [ecsim explore --spec]: read the target
@@ -190,22 +163,6 @@ let target_of (b : Builder.t) =
        | None -> Error "exploration needs the clauses in canonical order")
 
 (* ------------------------------------------------------------------ *)
-(* Policies (delegated to the builder's formulas)                      *)
-(* ------------------------------------------------------------------ *)
-
-let b0 target plan = builder_of target ~seed:0 plan
-let slack target = Builder.slack (b0 target [])
-let inputs target = Builder.inputs (b0 target [])
-let drop_safe_until target = Builder.drop_safe_until (b0 target [])
-let last_post target = Builder.last_post (b0 target [])
-let ae_catchup target = Builder.ae_catchup (b0 target [])
-let lossy_safe_until target = Builder.lossy_safe_until (b0 target [])
-let tau_bound target plan = Builder.tau_bound (b0 target plan)
-let watchdog_settle target plan = Builder.watchdog_settle (b0 target plan)
-let watchdog_bound target plan = Builder.watchdog_bound (b0 target plan)
-let base_setup target ~seed = Builder.setup_of (builder_of target ~seed [])
-
-(* ------------------------------------------------------------------ *)
 (* Running one plan                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -238,6 +195,10 @@ let max_crashes target =
 
 let random_spec target ~rng =
   let open Adversity in
+  let b = builder_of target ~seed:0 [] in
+  let slack = Builder.slack b in
+  let drop_safe_until = Builder.drop_safe_until b in
+  let lossy_safe_until = Builder.lossy_safe_until b in
   let d = target.deadline in
   let window ~latest_until =
     let latest_until = max 2 latest_until in
@@ -245,7 +206,7 @@ let random_spec target ~rng =
     let len = 1 + Rng.int rng (max 1 (d / 4)) in
     (from_time, min latest_until (from_time + len))
   in
-  let healed_latest = d - slack target - target.base_max in
+  let healed_latest = d - slack - target.base_max in
   (* Drops exist only for Algorithm 5, whose full-graph re-gossip makes a
      closed drop window recoverable; the quorum baselines have no such
      blanket retransmission, so dropping their messages could flag a
@@ -260,7 +221,7 @@ let random_spec target ~rng =
   in
   let kind_pool =
     [ 0; 1; 2; 3; 4 ]
-    @ (if target.impl = Stacks.Algorithm_5 && drop_safe_until target > 2
+    @ (if target.impl = Stacks.Algorithm_5 && drop_safe_until > 2
        then [ 5 ]
        else [])
     @ (if target.recovery && target.impl = Stacks.Algorithm_5
@@ -268,14 +229,14 @@ let random_spec target ~rng =
        else [])
       (* Message-LOSING partitions are only fair against Algorithm 5, whose
          full-graph re-gossip (or anti-entropy layer) can recover the loss;
-         see [lossy_safe_until] for the window clamp.  They join the pool
-         only for partition-aware targets (anti-entropy or watchdog on):
+         see [Builder.lossy_safe_until] for the window clamp.  They join the
+         pool only for partition-aware targets (anti-entropy or watchdog on):
          that is where they have teeth — and legacy targets keep drawing
          exactly the plans they always did, so recorded repros and tuned
          search budgets stay valid. *)
     @ (if target.impl = Stacks.Algorithm_5
-          && (uses_ae target || target.watchdog)
-          && lossy_safe_until target > 2
+          && (Builder.ae_used b || target.watchdog)
+          && lossy_safe_until > 2
        then [ 8; 9; 10; 11 ]
        else [])
   in
@@ -283,17 +244,12 @@ let random_spec target ~rng =
   | 0 when max_crashes target >= 1 ->
     Crash { proc = Rng.int rng target.n; at = Rng.int rng d }
   | 1 ->
-    let left =
-      match List.filter (fun _ -> Rng.int rng 2 = 0) (all_procs target.n) with
-      | [] -> [ 0 ]
-      | l when List.length l = target.n -> [ 0 ]
-      | l -> l
-    in
+    let left = random_side () in
     let from_time, until_time = window ~latest_until:healed_latest in
     Partition { left; from_time; until_time }
   | 2 ->
     let factor = 2 + Rng.int rng 7 in
-    let latest = d - slack target - (target.base_max * factor) in
+    let latest = d - slack - (target.base_max * factor) in
     let from_time, until_time = window ~latest_until:latest in
     let link =
       if Rng.int rng 2 = 0 then None
@@ -308,7 +264,7 @@ let random_spec target ~rng =
       { until_time = 4 + Rng.int rng (d / 2);
         period = 1 + Rng.int rng (3 * target.timer_period) }
   | 5 ->
-    let from_time, until_time = window ~latest_until:(drop_safe_until target) in
+    let from_time, until_time = window ~latest_until:drop_safe_until in
     Drop { from_time; until_time; pct = 25 * (1 + Rng.int rng 4) }
   | 6 ->
     (* The window must close early enough for retransmission to catch the
@@ -329,17 +285,17 @@ let random_spec target ~rng =
     let left =
       List.init (max 1 (target.n / 2)) (fun i -> (off + i) mod target.n)
     in
-    let from_time, until_time = window ~latest_until:(lossy_safe_until target) in
+    let from_time, until_time = window ~latest_until:lossy_safe_until in
     Lossy_partition { left; from_time; until_time }
   | 9 ->
     (* Minority isolation: one process alone behind the loss. *)
-    let from_time, until_time = window ~latest_until:(lossy_safe_until target) in
+    let from_time, until_time = window ~latest_until:lossy_safe_until in
     Lossy_partition { left = [ Rng.int rng target.n ]; from_time; until_time }
   | 10 ->
-    let from_time, until_time = window ~latest_until:(lossy_safe_until target) in
+    let from_time, until_time = window ~latest_until:lossy_safe_until in
     Oneway_partition { left = random_side (); from_time; until_time }
   | 11 ->
-    let from_time, until_time = window ~latest_until:(lossy_safe_until target) in
+    let from_time, until_time = window ~latest_until:lossy_safe_until in
     Flapping_partition
       { left = random_side ();
         from_time;

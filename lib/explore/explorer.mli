@@ -51,58 +51,13 @@ val default_target : target
 (** Algorithm 5, unmutated: n=4, deadline=240, 12 posts, delays in [1,3],
     no recovery. *)
 
-val impl_name : Stacks.etob_impl -> string
-(** Names match the [ecsim --impl] catalogue: alg5, paxos, alg1. *)
-
-val impl_of_string : string -> Stacks.etob_impl option
-
-val inputs : target -> (time * proc_id * Simulator.Io.input) list
-val drop_safe_until : target -> time
-val slack : target -> int
-
-val last_post : target -> time
-(** When the workload ends; convergence cannot precede it. *)
-
-val uses_ae : target -> bool
-(** This target stacks the anti-entropy layer (opt-in or seeded
-    anti-entropy mutation; Algorithm 5 only). *)
-
-val ae_catchup : target -> int
-(** Worst-case post-heal catch-up time of the digest exchange: next digest
-    broadcast + one full resend backoff + delta delivery. *)
-
-val lossy_safe_until : target -> time
-(** Latest admissible heal time for generated message-losing partitions:
-    before the final full posting round without anti-entropy (re-gossip
-    must repair the loss), far later with it. *)
-
-val watchdog_settle : target -> Adversity.t -> time
-(** When the watchdog starts its countdown: adversities settled and the
-    workload finished. *)
-
-val watchdog_bound : target -> Adversity.t -> int
-(** Convergence headroom past the settle point (slack + anti-entropy
-    catch-up + retransmission backoff where applicable). *)
-
-val tau_bound : target -> Adversity.t -> time
-(** [0] for Algorithm 5 under a never-flapping oracle and a recovery-free
-    plan; otherwise settle + slack, plus one retransmission backoff cap
-    when the plan restarts processes (recovery legitimately perturbs
-    stability around the restart). *)
-
-val base_setup : target -> seed:int -> Stacks.setup
-
-val uses_recovery : target -> Adversity.t -> bool
-(** This (target, plan) pair runs the recoverable stack: the target opts
-    in, seeds a recovery mutation, or the plan carries recovery
-    adversities. *)
-
 val builder_of : target -> seed:int -> Adversity.t -> Builder.t
-(** The declarative builder a target denotes under one plan: stack per
-    {!uses_recovery}/{!uses_ae}, the posting policy as an [Auto_posts]
-    workload, the plan-aware ETOB checker, plus the watchdog when the
-    target opts in.  Running, bounds, spec text and replay all go through
-    this value — the explorer's single bridge to {!Harness.Builder}. *)
+(** The declarative builder a target denotes under one plan: the posting
+    policy as an [Auto_posts] workload, the plan-aware ETOB checker, plus
+    the watchdog when the target opts in, over the stack
+    {!Harness.Builder.target_stack} selects.  Running, bounds, spec text
+    and replay all go through this value — the explorer's single bridge
+    to {!Harness.Builder}. *)
 
 val target_of : Builder.t -> (target, string) result
 (** Read the target fields back off a declarative builder (for

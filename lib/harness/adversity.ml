@@ -359,7 +359,13 @@ let spec_of_line_exn line =
       | None -> parse_fail "field %s is not an integer in %S" k line
     in
     let procs k =
-      List.filter_map int_of_string_opt (String.split_on_char ',' (str k))
+      List.map
+        (fun p ->
+           match int_of_string_opt p with
+           | Some p -> p
+           | None ->
+             parse_fail "field %s has a non-integer member %S in %S" k p line)
+        (String.split_on_char ',' (str k))
     in
     (* Values [apply] would reject are parse errors here, so a spec file
        fails on its offending line instead of raising mid-run. *)

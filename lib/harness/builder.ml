@@ -241,6 +241,20 @@ let watchdog_bound t =
      | Recoverable _ -> Recoverable.default_config.Recoverable.max_backoff
      | _ -> 0)
 
+(* The explorer's stack selection, shared with the legacy repro reader:
+   the anti-entropy and crash-recovery layers wrap Algorithm 5 only.
+   Anti-entropy runs when opted in or an anti-entropy mutation is seeded;
+   the recoverable stack runs when opted in, a recovery mutation is
+   seeded, or the plan carries recovery adversities (downtime windows are
+   only fair against a stack that can replay its stable store). *)
+let target_stack impl ~recovery ~ae t =
+  let alg5 = impl = Stacks.Algorithm_5 in
+  let ae = alg5 && (ae || t.ae_mutation <> None) in
+  if alg5 && (recovery || t.rmutation <> None || Adversity.has_recovery t.plan)
+  then Recoverable { ae }
+  else if ae then Etob_ae
+  else Etob impl
+
 (* ------------------------------------------------------------------ *)
 (* Workload materialization                                            *)
 (* ------------------------------------------------------------------ *)
@@ -480,11 +494,7 @@ let run ?(digest = false) ?(catch = false) ?guard t =
         (Some report, violations)
       end
     in
-    let dg =
-      if digest then
-        Digest.to_hex (Digest.string (Format.asprintf "%a" Trace.pp trace))
-      else ""
-    in
+    let dg = if digest then Trace.digest trace else "" in
     { builder = orig;
       trace = Some trace;
       report;
@@ -619,11 +629,13 @@ let pre_of_string s =
        let blocks =
          List.map
            (fun block ->
-              List.filter_map int_of_string_opt
-                (String.split_on_char ',' block))
+              List.map int_of_string_opt (String.split_on_char ',' block))
            (String.split_on_char ';' arg)
        in
-       Some (Detectors.Omega.Blockwise blocks)
+       if List.exists (List.mem None) blocks then None
+       else
+         Some
+           (Detectors.Omega.Blockwise (List.map (List.map Option.get) blocks))
      | _ -> None)
 
 (* Violation messages come from Format and may contain line breaks; the
@@ -860,6 +872,11 @@ let at_least lineno lo what v =
   if v < lo then at lineno "%s must be >= %d, got %d" what lo v;
   v
 
+let int_at lineno v =
+  match int_of_string_opt v with
+  | Some i -> i
+  | None -> at lineno "expected an integer, got %S" v
+
 (* Key=value fields of a line tail, repro-file style. *)
 let kv_fields fields =
   List.filter_map
@@ -886,8 +903,8 @@ let spec_procs = function
   | Adversity.Delay_spike { link = None; _ }
   | Adversity.Drop _ | Adversity.Duplicate _ | Adversity.Omega_flap _ -> []
 
-(* Shared by both parsers: take [count] plan lines (the "plan" header is
-   line [lineno]), expect "end", and keep every process inside [0, n). *)
+(* Take [count] plan lines (the "plan" header is line [lineno]), expect
+   "end", and keep every process inside [0, n). *)
 let parse_plan_section ~n ~lineno ~count rest =
   if count < 0 then at lineno "plan count must be >= 0, got %d" count;
   let rec take k acc = function
@@ -915,124 +932,10 @@ let parse_plan_section ~n ~lineno ~count rest =
        | Error msg -> at lineno "%s" msg)
     plan_lines
 
-(* The legacy repro header: the explorer's target fields, mapped onto
-   builder clauses with exactly the explorer's stack-selection and posting
-   policies, so a recorded repro replays byte-identically through the
-   builder path.  The plan is kept verbatim (not normalized). *)
-let parse_legacy rest =
-  let impl = ref Stacks.Algorithm_5 in
-  let mutation = ref None and rmutation = ref None and ae_mutation = ref None in
-  let n = ref 4 and seed = ref 0 and deadline = ref 240 in
-  let timer_period = ref 2 and posts = ref 12 in
-  let base_min = ref 1 and base_max = ref 3 in
-  let recovery = ref false and ae = ref false and watchdog = ref false in
-  let base_max_line = ref 0 in
-  let finish plan =
-    let uses_ae = !impl = Stacks.Algorithm_5 && (!ae || !ae_mutation <> None) in
-    let uses_recovery =
-      !impl = Stacks.Algorithm_5
-      && (!recovery || !rmutation <> None || Adversity.has_recovery plan)
-    in
-    let stack =
-      if uses_recovery then Recoverable { ae = uses_ae }
-      else if uses_ae then Etob_ae
-      else Etob !impl
-    in
-    { (create ~seed:!seed ~timer_period:!timer_period
-         ~delay:(Uniform { min_d = !base_min; max_d = !base_max })
-         ~n:!n ~deadline:!deadline stack)
-      with
-      workload = Auto_posts { count = !posts; stretch = !recovery };
-      plan;
-      mutation = !mutation;
-      rmutation = !rmutation;
-      ae_mutation = !ae_mutation;
-      checkers =
-        Etob_spec Tau_auto :: (if !watchdog then [ Watchdog Wd_auto ] else [])
-    }
-  in
-  let flag lineno key v r =
-    match v with
-    | "on" | "true" -> r := true
-    | "off" | "false" -> r := false
-    | _ -> at lineno "%s must be on or off, got %S" key v
-  in
-  let rec headers = function
-    | [] -> parse_fail "missing plan section (file truncated?)"
-    | (lineno, line) :: rest ->
-      let key, v =
-        match String.index_opt line ' ' with
-        | None -> (line, "")
-        | Some i ->
-          ( String.sub line 0 i,
-            String.trim (String.sub line (i + 1) (String.length line - i - 1))
-          )
-      in
-      let int v =
-        match int_of_string_opt v with
-        | Some i -> i
-        | None -> at lineno "expected an integer, got %S" v
-      in
-      (match key with
-       | "impl" ->
-         (match
-            (match v with
-             | "alg5" -> Some Stacks.Algorithm_5
-             | "paxos" -> Some Stacks.Paxos_baseline
-             | "alg1" -> Some Stacks.Algorithm_1_over_4
-             | _ -> None)
-          with
-          | Some i -> impl := i
-          | None -> at lineno "unknown impl %S" v);
-         headers rest
-       | "mutant" ->
-         (if v <> "none" then
-            match Etob_omega.mutation_of_string v with
-            | Some m -> mutation := Some m
-            | None -> at lineno "unknown mutant %S" v);
-         headers rest
-       | "rmutant" ->
-         (if v <> "none" then
-            match Recoverable.mutation_of_string v with
-            | Some m -> rmutation := Some m
-            | None -> at lineno "unknown recovery mutant %S" v);
-         headers rest
-       | "ae-mutant" ->
-         (if v <> "none" then
-            match Anti_entropy.mutation_of_string v with
-            | Some m -> ae_mutation := Some m
-            | None -> at lineno "unknown anti-entropy mutant %S" v);
-         headers rest
-       | "recovery" -> flag lineno key v recovery; headers rest
-       | "ae" -> flag lineno key v ae; headers rest
-       | "watchdog" -> flag lineno key v watchdog; headers rest
-       | "n" -> n := at_least lineno 2 "n" (int v); headers rest
-       | "seed" -> seed := int v; headers rest
-       | "deadline" ->
-         deadline := at_least lineno 1 "deadline" (int v);
-         headers rest
-       | "timer-period" ->
-         timer_period := at_least lineno 1 "timer-period" (int v);
-         headers rest
-       | "posts" -> posts := at_least lineno 0 "posts" (int v); headers rest
-       | "base-min" ->
-         base_min := at_least lineno 1 "base-min" (int v);
-         headers rest
-       | "base-max" ->
-         base_max := int v;
-         base_max_line := lineno;
-         headers rest
-       | "digest" | "violation" -> headers rest
-       | "plan" ->
-         if !base_max < !base_min then
-           at !base_max_line "base-max %d is below base-min %d" !base_max
-             !base_min;
-         finish (parse_plan_section ~n:!n ~lineno ~count:(int v) rest)
-       | k -> at lineno "unknown header %S" k)
-  in
-  headers rest
-
-let parse_new rest =
+(* The spec reader.  v1 text is read as it is and its plan normalized.
+   Legacy text passes each header line through [legacy], which returns
+   the v1 clauses read in its place, and keeps its plan verbatim. *)
+let parse_spec ?legacy rest =
   let t = ref (create ~n:4 ~deadline:240 (Etob Stacks.Algorithm_5)) in
   let set_decl f =
     match !t.base with
@@ -1052,209 +955,266 @@ let parse_new rest =
     in
     { !t with
       workload;
-      plan = Adversity.make plan;
+      plan = (match legacy with None -> Adversity.make plan | Some _ -> plan);
       checkers = List.rev !checkers;
       boosts = List.rev !boosts }
   in
+  (* One header clause (anything but the plan line), as its tokens. *)
+  let clause lineno line tokens =
+    let int v = int_at lineno v in
+    let kv_int kv k =
+      match List.assoc_opt k kv with
+      | Some v -> int v
+      | None -> at lineno "missing field %s" k
+    in
+    let kv_nat kv k = at_least lineno 0 k (kv_int kv k) in
+    match tokens with
+    | [] -> ()
+    | "stack" :: [ name ] ->
+      (match stack_of_name name with
+       | Some stack -> t := { !t with stack }
+       | None -> at lineno "unknown stack %S" name)
+    | "n" :: [ v ] ->
+      let n = at_least lineno 2 "n" (int v) in
+      set_decl (fun d -> { d with n })
+    | "seed" :: [ v ] ->
+      set_decl (fun d -> { d with seed = int v })
+    | "deadline" :: [ v ] ->
+      let deadline = at_least lineno 1 "deadline" (int v) in
+      set_decl (fun d -> { d with deadline })
+    | "timer-period" :: [ v ] ->
+      let timer_period = at_least lineno 1 "timer-period" (int v) in
+      set_decl (fun d -> { d with timer_period })
+    | "delay" :: "constant" :: [ v ] ->
+      let dl = at_least lineno 1 "delay" (int v) in
+      set_decl (fun d -> { d with delay = Constant dl })
+    | "delay" :: "uniform" :: fields ->
+      let kv = kv_fields fields in
+      let min_d = at_least lineno 1 "delay min" (kv_int kv "min") in
+      let max_d = kv_int kv "max" in
+      if max_d < min_d then
+        at lineno "delay max %d is below min %d" max_d min_d;
+      set_decl (fun d -> { d with delay = Uniform { min_d; max_d } })
+    | "omega" :: "oracle" :: fields ->
+      let kv = kv_fields fields in
+      let pre =
+        match List.assoc_opt "pre" kv with
+        | None -> Detectors.Omega.Self_trust
+        | Some p ->
+          (match pre_of_string p with
+           | Some pre -> pre
+           | None -> at lineno "unknown omega pre-behaviour %S" p)
+      in
+      t :=
+        { !t with
+          omega =
+            Some (Stacks.Oracle { stabilize_at = kv_int kv "stable"; pre })
+        }
+    | "omega" :: "elected" :: fields ->
+      let kv = kv_fields fields in
+      t :=
+        { !t with
+          omega =
+            Some
+              (Stacks.Elected
+                 { initial_timeout =
+                     at_least lineno 1 "timeout" (kv_int kv "timeout") })
+        }
+    | "workload" :: [ "none" ] ->
+      t := { !t with workload = No_posts }
+    | "workload" :: "posts" :: fields ->
+      let kv = kv_fields fields in
+      t :=
+        { !t with
+          workload =
+            Posts
+              { count = kv_nat kv "count";
+                from_time = kv_nat kv "from";
+                every = kv_nat kv "every" } }
+    | "workload" :: "auto" :: fields ->
+      let kv = kv_fields fields in
+      let stretch =
+        match List.assoc_opt "stretch" kv with
+        | Some "on" | Some "true" -> true
+        | Some "off" | Some "false" | None -> false
+        | Some v -> at lineno "stretch must be on or off, got %S" v
+      in
+      t :=
+        { !t with
+          workload = Auto_posts { count = kv_nat kv "count"; stretch } }
+    | "workload" :: "weighted" :: fields ->
+      let kv = kv_fields fields in
+      let mix =
+        match List.assoc_opt "mix" kv with
+        | None -> at lineno "missing field mix"
+        | Some m ->
+          List.map
+            (fun entry ->
+               match String.index_opt entry ':' with
+               | None -> at lineno "bad mix entry %S" entry
+               | Some i ->
+                 ( String.sub entry 0 i,
+                   int
+                     (String.sub entry (i + 1)
+                        (String.length entry - i - 1)) ))
+            (String.split_on_char ',' m)
+      in
+      t :=
+        { !t with
+          workload =
+            Weighted
+              { count = kv_nat kv "count";
+                from_time = kv_nat kv "from";
+                every = kv_nat kv "every";
+                jitter = kv_nat kv "jitter";
+                mix } }
+    | [ "workload"; "explicit" ] ->
+      explicit := true
+    | "post" :: tm :: p :: tag_words when !explicit ->
+      posts :=
+        ( lineno,
+          ( at_least lineno 0 "post time" (int tm),
+            int p,
+            String.concat " " tag_words ) )
+        :: !posts
+    | "service" :: fields ->
+      (match Service_spec.of_fields (kv_fields fields) with
+       | Ok s -> t := { !t with service = Some s }
+       | Error msg -> at lineno "service: %s" msg)
+    | "mutant" :: [ v ] ->
+      (if v <> "none" then
+         match Etob_omega.mutation_of_string v with
+         | Some m -> t := { !t with mutation = Some m }
+         | None -> at lineno "unknown mutant %S" v)
+    | "rmutant" :: [ v ] ->
+      (if v <> "none" then
+         match Recoverable.mutation_of_string v with
+         | Some m -> t := { !t with rmutation = Some m }
+         | None -> at lineno "unknown recovery mutant %S" v)
+    | "ae-mutant" :: [ v ] ->
+      (if v <> "none" then
+         match Anti_entropy.mutation_of_string v with
+         | Some m -> t := { !t with ae_mutation = Some m }
+         | None -> at lineno "unknown anti-entropy mutant %S" v)
+    | "boost" :: "drop-while-partitioned" :: fields ->
+      let kv = kv_fields fields in
+      boosts :=
+        Drop_boost_while_partitioned { factor = kv_int kv "factor" }
+        :: !boosts
+    | "check" :: "etob" :: fields ->
+      let kv = kv_fields fields in
+      let policy =
+        match List.assoc_opt "tau" kv with
+        | Some "auto" | None -> Tau_auto
+        | Some v -> Tau_fixed (int v)
+      in
+      checkers := Etob_spec policy :: !checkers
+    | [ "check"; "watchdog"; "auto" ] ->
+      checkers := Watchdog Wd_auto :: !checkers
+    | "check" :: "watchdog" :: fields ->
+      let kv = kv_fields fields in
+      checkers :=
+        Watchdog
+          (Wd_fixed
+             { settle = kv_int kv "settle"; bound = kv_int kv "bound" })
+        :: !checkers
+    | "max-instance" :: [ v ] ->
+      t := { !t with max_instance = int v }
+    | "budget" :: [ v ] ->
+      t := { !t with budget = Some (int v) }
+    | "digest" :: _ | "violation" :: _ -> ()
+    | _ -> at lineno "unknown spec line %S" line
+  in
+  (* One header line; the plan line ends the headers: its section
+     follows in [rest]. *)
+  let header rest (lineno, line) =
+    match tokens_of line with
+    | [ "plan"; v ] ->
+      let count = int_at lineno v in
+      Some (finish (parse_plan_section ~n:(n_of !t) ~lineno ~count rest))
+    | tokens ->
+      clause lineno line tokens;
+      None
+  in
   let rec headers = function
     | [] -> parse_fail "missing plan section (file truncated?)"
-    | (lineno, line) :: rest ->
-      let int v =
-        match int_of_string_opt v with
-        | Some i -> i
-        | None -> at lineno "expected an integer, got %S" v
+    | l :: rest ->
+      let parsed =
+        match legacy with
+        | None -> header rest l
+        | Some expand -> List.find_map (header rest) (expand l)
       in
-      let kv_int kv k =
-        match List.assoc_opt k kv with
-        | Some v -> int v
-        | None -> at lineno "missing field %s" k
-      in
-      let kv_nat kv k = at_least lineno 0 k (kv_int kv k) in
-      (match tokens_of line with
-       | [] -> headers rest
-       | "stack" :: [ name ] ->
-         (match stack_of_name name with
-          | Some stack -> t := { !t with stack }
-          | None -> at lineno "unknown stack %S" name);
-         headers rest
-       | "n" :: [ v ] ->
-         let n = at_least lineno 2 "n" (int v) in
-         set_decl (fun d -> { d with n });
-         headers rest
-       | "seed" :: [ v ] ->
-         set_decl (fun d -> { d with seed = int v });
-         headers rest
-       | "deadline" :: [ v ] ->
-         let deadline = at_least lineno 1 "deadline" (int v) in
-         set_decl (fun d -> { d with deadline });
-         headers rest
-       | "timer-period" :: [ v ] ->
-         let timer_period = at_least lineno 1 "timer-period" (int v) in
-         set_decl (fun d -> { d with timer_period });
-         headers rest
-       | "delay" :: "constant" :: [ v ] ->
-         let dl = at_least lineno 1 "delay" (int v) in
-         set_decl (fun d -> { d with delay = Constant dl });
-         headers rest
-       | "delay" :: "uniform" :: fields ->
-         let kv = kv_fields fields in
-         let min_d = at_least lineno 1 "delay min" (kv_int kv "min") in
-         let max_d = kv_int kv "max" in
-         if max_d < min_d then
-           at lineno "delay max %d is below min %d" max_d min_d;
-         set_decl (fun d -> { d with delay = Uniform { min_d; max_d } });
-         headers rest
-       | "omega" :: "oracle" :: fields ->
-         let kv = kv_fields fields in
-         let pre =
-           match List.assoc_opt "pre" kv with
-           | None -> Detectors.Omega.Self_trust
-           | Some p ->
-             (match pre_of_string p with
-              | Some pre -> pre
-              | None -> at lineno "unknown omega pre-behaviour %S" p)
-         in
-         t :=
-           { !t with
-             omega =
-               Some (Stacks.Oracle { stabilize_at = kv_int kv "stable"; pre })
-           };
-         headers rest
-       | "omega" :: "elected" :: fields ->
-         let kv = kv_fields fields in
-         t :=
-           { !t with
-             omega =
-               Some
-                 (Stacks.Elected
-                    { initial_timeout =
-                        at_least lineno 1 "timeout" (kv_int kv "timeout") })
-           };
-         headers rest
-       | "workload" :: [ "none" ] ->
-         t := { !t with workload = No_posts };
-         headers rest
-       | "workload" :: "posts" :: fields ->
-         let kv = kv_fields fields in
-         t :=
-           { !t with
-             workload =
-               Posts
-                 { count = kv_nat kv "count";
-                   from_time = kv_nat kv "from";
-                   every = kv_nat kv "every" } };
-         headers rest
-       | "workload" :: "auto" :: fields ->
-         let kv = kv_fields fields in
-         let stretch =
-           match List.assoc_opt "stretch" kv with
-           | Some "on" | Some "true" -> true
-           | Some "off" | Some "false" | None -> false
-           | Some v -> at lineno "stretch must be on or off, got %S" v
-         in
-         t :=
-           { !t with
-             workload = Auto_posts { count = kv_nat kv "count"; stretch } };
-         headers rest
-       | "workload" :: "weighted" :: fields ->
-         let kv = kv_fields fields in
-         let mix =
-           match List.assoc_opt "mix" kv with
-           | None -> at lineno "missing field mix"
-           | Some m ->
-             List.map
-               (fun entry ->
-                  match String.index_opt entry ':' with
-                  | None -> at lineno "bad mix entry %S" entry
-                  | Some i ->
-                    ( String.sub entry 0 i,
-                      int
-                        (String.sub entry (i + 1)
-                           (String.length entry - i - 1)) ))
-               (String.split_on_char ',' m)
-         in
-         t :=
-           { !t with
-             workload =
-               Weighted
-                 { count = kv_nat kv "count";
-                   from_time = kv_nat kv "from";
-                   every = kv_nat kv "every";
-                   jitter = kv_nat kv "jitter";
-                   mix } };
-         headers rest
-       | [ "workload"; "explicit" ] ->
-         explicit := true;
-         headers rest
-       | "post" :: tm :: p :: tag_words when !explicit ->
-         posts :=
-           ( lineno,
-             ( at_least lineno 0 "post time" (int tm),
-               int p,
-               String.concat " " tag_words ) )
-           :: !posts;
-         headers rest
-       | "service" :: fields ->
-         (match Service_spec.of_fields (kv_fields fields) with
-          | Ok s -> t := { !t with service = Some s }
-          | Error msg -> at lineno "service: %s" msg);
-         headers rest
-       | "mutant" :: [ v ] ->
-         (if v <> "none" then
-            match Etob_omega.mutation_of_string v with
-            | Some m -> t := { !t with mutation = Some m }
-            | None -> at lineno "unknown mutant %S" v);
-         headers rest
-       | "rmutant" :: [ v ] ->
-         (if v <> "none" then
-            match Recoverable.mutation_of_string v with
-            | Some m -> t := { !t with rmutation = Some m }
-            | None -> at lineno "unknown recovery mutant %S" v);
-         headers rest
-       | "ae-mutant" :: [ v ] ->
-         (if v <> "none" then
-            match Anti_entropy.mutation_of_string v with
-            | Some m -> t := { !t with ae_mutation = Some m }
-            | None -> at lineno "unknown anti-entropy mutant %S" v);
-         headers rest
-       | "boost" :: "drop-while-partitioned" :: fields ->
-         let kv = kv_fields fields in
-         boosts :=
-           Drop_boost_while_partitioned { factor = kv_int kv "factor" }
-           :: !boosts;
-         headers rest
-       | "check" :: "etob" :: fields ->
-         let kv = kv_fields fields in
-         let policy =
-           match List.assoc_opt "tau" kv with
-           | Some "auto" | None -> Tau_auto
-           | Some v -> Tau_fixed (int v)
-         in
-         checkers := Etob_spec policy :: !checkers;
-         headers rest
-       | [ "check"; "watchdog"; "auto" ] ->
-         checkers := Watchdog Wd_auto :: !checkers;
-         headers rest
-       | "check" :: "watchdog" :: fields ->
-         let kv = kv_fields fields in
-         checkers :=
-           Watchdog
-             (Wd_fixed
-                { settle = kv_int kv "settle"; bound = kv_int kv "bound" })
-           :: !checkers;
-         headers rest
-       | "max-instance" :: [ v ] ->
-         t := { !t with max_instance = int v };
-         headers rest
-       | "budget" :: [ v ] ->
-         t := { !t with budget = Some (int v) };
-         headers rest
-       | "digest" :: _ | "violation" :: _ -> headers rest
-       | "plan" :: [ v ] ->
-         finish (parse_plan_section ~n:(n_of !t) ~lineno ~count:(int v) rest)
-       | _ -> at lineno "unknown spec line %S" line)
+      (match parsed with Some t -> t | None -> headers rest)
   in
   headers rest
+
+(* The legacy repro header is an explorer target written as key/value
+   lines, read as v1 text.  Lines that already are v1 clauses pass
+   through with their line numbers; the seven target-only keys are
+   validated on their own lines and become, in front of the plan line,
+   the clauses the explorer writes (a uniform delay, the auto workload,
+   the plan-aware checkers); the legacy defaults, which differ from
+   [create]'s, are written out first; and once the plan is read,
+   [target_stack] picks the stack exactly as for the explorer, so a
+   recorded repro replays byte-identically.  The plan is kept verbatim
+   (not normalized). *)
+let parse_legacy rest =
+  let impl = ref Stacks.Algorithm_5 and posts = ref 12 in
+  let base_min = ref 1 and base_max = ref (0, 3) in
+  let recovery = ref false and ae = ref false and watchdog = ref false in
+  let legacy ((lineno, line) as l) =
+    let key, v =
+      match String.index_opt line ' ' with
+      | None -> (line, "")
+      | Some i ->
+        ( String.sub line 0 i,
+          String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+    in
+    let int = int_at lineno in
+    let flag r =
+      match v with
+      | "on" | "true" -> r := true
+      | "off" | "false" -> r := false
+      | _ -> at lineno "%s must be on or off, got %S" key v
+    in
+    match key with
+    | "n" | "seed" | "deadline" | "timer-period" | "mutant" | "rmutant"
+    | "ae-mutant" | "digest" | "violation" ->
+      [ l ]
+    | "plan" ->
+      let base_max_line, base_max = !base_max in
+      if base_max < !base_min then
+        at base_max_line "base-max %d is below base-min %d" base_max !base_min;
+      (* A count that is not one integer fails as a header value. *)
+      ignore (int v : int);
+      List.map
+        (fun c -> (lineno, c))
+        ([ Printf.sprintf "delay uniform min=%d max=%d" !base_min base_max;
+           Printf.sprintf "workload auto count=%d stretch=%s" !posts
+             (if !recovery then "on" else "off");
+           "check etob tau=auto" ]
+         @ if !watchdog then [ "check watchdog auto" ] else [])
+      @ [ l ]
+    | "impl" ->
+      (match stack_of_name v with
+       | Some (Etob i) -> impl := i
+       | _ -> at lineno "unknown impl %S" v);
+      []
+    | "posts" -> posts := at_least lineno 0 "posts" (int v); []
+    | "base-min" -> base_min := at_least lineno 1 "base-min" (int v); []
+    | "base-max" -> base_max := (lineno, int v); []
+    | "recovery" -> flag recovery; []
+    | "ae" -> flag ae; []
+    | "watchdog" -> flag watchdog; []
+    | k -> at lineno "unknown header %S" k
+  in
+  let defaults =
+    List.map
+      (fun c -> (0, c))
+      [ "n 4"; "seed 0"; "deadline 240"; "timer-period 2" ]
+  in
+  let t = parse_spec ~legacy (defaults @ rest) in
+  { t with stack = target_stack !impl ~recovery:!recovery ~ae:!ae t }
 
 let of_lines lines =
   let lines =
@@ -1264,7 +1224,7 @@ let of_lines lines =
   in
   let parse () =
     match lines with
-    | (_, h) :: rest when h = header -> parse_new rest
+    | (_, h) :: rest when h = header -> parse_spec rest
     | (_, h) :: rest when h = legacy_header -> parse_legacy rest
     | (lineno, l) :: _ ->
       parse_fail "line %d: not a %s or %s file (found %S)" lineno header
@@ -1350,233 +1310,3 @@ let binary_spec path =
        (match Persist.Frame.spec items with
         | Some text -> Ok text
         | None -> Error (path ^ ": binary trace carries no spec record")))
-
-(* ------------------------------------------------------------------ *)
-(* QCheck generators                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Deliberately NOT fairness-clamped (unlike [Explore.Explorer.random_plan],
-   which keeps plans recoverable so liveness checks are meaningful): safety
-   properties must hold under any plan whatsoever, so these cover the whole
-   space — drop windows that never heal, partitions to the horizon,
-   flapping forever.  Plan generators normalize through [Adversity.make],
-   so the text-form roundtrip is structural equality. *)
-
-let subset_gen n =
-  let open QCheck.Gen in
-  let* mask = int_range 1 ((1 lsl n) - 2) in
-  return (List.filter (fun p -> mask land (1 lsl p) <> 0) (List.init n Fun.id))
-
-let window_gen deadline =
-  let open QCheck.Gen in
-  let* from_time = int_range 0 (deadline - 2) in
-  let* len = int_range 1 (deadline - from_time) in
-  return (from_time, from_time + len)
-
-let spec_gen ~n ~deadline =
-  let open QCheck.Gen in
-  frequency
-    [ ( 1,
-        let* proc = int_range 1 (n - 1) in
-        let* at = int_range 0 deadline in
-        return (Adversity.Crash { proc; at }) );
-      ( 2,
-        let* left = subset_gen n in
-        let* from_time, until_time = window_gen deadline in
-        return (Adversity.Partition { left; from_time; until_time }) );
-      ( 2,
-        let* link =
-          oneof
-            [ return None;
-              (let* src = int_range 0 (n - 1) in
-               let* dst = int_range 0 (n - 1) in
-               return (if src = dst then None else Some (src, dst))) ]
-        in
-        let* from_time, until_time = window_gen deadline in
-        let* factor = int_range 2 6 in
-        return (Adversity.Delay_spike { link; from_time; until_time; factor })
-      );
-      ( 2,
-        let* from_time, until_time = window_gen deadline in
-        let* pct = int_range 1 100 in
-        return (Adversity.Drop { from_time; until_time; pct }) );
-      ( 2,
-        let* from_time, until_time = window_gen deadline in
-        let* copies = int_range 1 3 in
-        return (Adversity.Duplicate { from_time; until_time; copies }) );
-      ( 2,
-        let* until_time = int_range 1 deadline in
-        let* period = int_range 1 6 in
-        return (Adversity.Omega_flap { until_time; period }) ) ]
-
-let plan_gen ~n ~deadline =
-  QCheck.Gen.map Adversity.make
-    QCheck.Gen.(list_size (int_range 0 5) (spec_gen ~n ~deadline))
-
-let spec_shrink spec = QCheck.Iter.of_list (Adversity.weaken spec)
-
-let plan_print plan = String.concat "; " (Adversity.to_lines plan)
-
-let plan_arb ~n ~deadline =
-  QCheck.make ~print:plan_print
-    ~shrink:(QCheck.Shrink.list ~shrink:spec_shrink)
-    (plan_gen ~n ~deadline)
-
-(* Crash-recover windows and disk faults over processes 1..n-1.  Windows
-   may overlap, touch, or sit anywhere in the horizon, and disk faults may
-   target processes that never restart (then they are no-ops). *)
-let recovery_spec_gen ~n ~deadline =
-  let open QCheck.Gen in
-  let* proc = int_range 1 (n - 1) in
-  frequency
-    [ ( 3,
-        let* at = int_range 1 (deadline - 2) in
-        let* len = int_range 1 (deadline - at) in
-        return (Adversity.Crash_recover { proc; at; recover_at = at + len }) );
-      ( 1,
-        let* kind =
-          oneofl
-            [ Persist.Store.Torn_tail;
-              Persist.Store.Lost_suffix 1;
-              Persist.Store.Lost_suffix 3;
-              Persist.Store.Corrupt_record ]
-        in
-        return (Adversity.Disk_fault { proc; kind }) ) ]
-
-let recovery_plan_gen ~n ~deadline =
-  let open QCheck.Gen in
-  let* base = list_size (int_range 0 2) (spec_gen ~n ~deadline) in
-  let* rec_specs = list_size (int_range 1 3) (recovery_spec_gen ~n ~deadline) in
-  return (Adversity.make (base @ rec_specs))
-
-let recovery_plan_arb ~n ~deadline =
-  QCheck.make ~print:plan_print
-    ~shrink:(QCheck.Shrink.list ~shrink:spec_shrink)
-    (recovery_plan_gen ~n ~deadline)
-
-(* Lossy, one-way and flapping partitions anywhere in the horizon —
-   including schedules that never heal before the deadline or cut the
-   leader off asymmetrically. *)
-let partition_loss_spec_gen ~n ~deadline =
-  let open QCheck.Gen in
-  let* left = subset_gen n in
-  frequency
-    [ ( 2,
-        let* from_time, until_time = window_gen deadline in
-        return (Adversity.Lossy_partition { left; from_time; until_time }) );
-      ( 1,
-        let* from_time, until_time = window_gen deadline in
-        return (Adversity.Oneway_partition { left; from_time; until_time }) );
-      ( 1,
-        let* from_time, until_time = window_gen deadline in
-        let* period = int_range 1 6 in
-        return
-          (Adversity.Flapping_partition { left; from_time; until_time; period })
-      ) ]
-
-let partition_recovery_plan_gen ~n ~deadline =
-  let open QCheck.Gen in
-  let* base = list_size (int_range 0 2) (spec_gen ~n ~deadline) in
-  let* losses =
-    list_size (int_range 1 3) (partition_loss_spec_gen ~n ~deadline)
-  in
-  let* rec_specs = list_size (int_range 0 2) (recovery_spec_gen ~n ~deadline) in
-  return (Adversity.make (base @ losses @ rec_specs))
-
-let partition_recovery_plan_arb ~n ~deadline =
-  QCheck.make ~print:plan_print
-    ~shrink:(QCheck.Shrink.list ~shrink:spec_shrink)
-    (partition_recovery_plan_gen ~n ~deadline)
-
-let arbitrary =
-  let open QCheck.Gen in
-  let gen =
-    let* n = int_range 3 5 in
-    let* seed = int_range 0 999 in
-    let* deadline = int_range 120 300 in
-    let* delay =
-      oneof
-        [ (let* d = int_range 1 2 in
-           return (Constant d));
-          (let* min_d = int_range 1 2 in
-           let* span = int_range 0 3 in
-           return (Uniform { min_d; max_d = min_d + span })) ]
-    in
-    let* stack =
-      oneofl
-        [ Etob Stacks.Algorithm_5;
-          Etob Stacks.Paxos_baseline;
-          Etob Stacks.Algorithm_1_over_4;
-          Etob_ae;
-          Recoverable { ae = false };
-          Recoverable { ae = true };
-          Gossip ]
-    in
-    let* workload =
-      oneof
-        [ return No_posts;
-          (let* count = int_range 1 20 in
-           let* from_time = int_range 0 20 in
-           let* every = int_range 1 8 in
-           return (Posts { count; from_time; every }));
-          (let* count = int_range 1 20 in
-           let* stretch = bool in
-           return (Auto_posts { count; stretch }));
-          (let* count = int_range 1 12 in
-           let* every = int_range 1 8 in
-           let* jitter = int_range 0 3 in
-           return
-             (Weighted
-                { count;
-                  from_time = 8;
-                  every;
-                  jitter;
-                  mix = [ ("a", 3); ("b", 1) ] })) ]
-    in
-    let* plan = plan_gen ~n ~deadline in
-    let* checkers =
-      oneofl
-        [ [];
-          [ Etob_spec Tau_auto ];
-          [ Etob_spec Tau_auto; Watchdog Wd_auto ];
-          [ Etob_spec (Tau_fixed 40) ] ]
-    in
-    let* boosts =
-      oneofl [ []; [ Drop_boost_while_partitioned { factor = 2 } ] ]
-    in
-    let* mutation =
-      oneofl (None :: List.map Option.some Etob_omega.all_mutations)
-    in
-    let* omega =
-      oneofl
-        [ None;
-          Some
-            (Stacks.Oracle
-               { stabilize_at = 0; pre = Detectors.Omega.Self_trust });
-          Some
-            (Stacks.Oracle
-               { stabilize_at = 40; pre = Detectors.Omega.Rotating 3 });
-          Some (Stacks.Elected { initial_timeout = 6 }) ]
-    in
-    let* budget = oneofl [ None; Some 100 ] in
-    let* service =
-      oneof [ return None; map Option.some Service_spec.gen ]
-    in
-    return
-      { (create ~seed ~delay ~n ~deadline stack) with
-        workload;
-        plan;
-        checkers;
-        boosts;
-        mutation;
-        omega;
-        budget;
-        service }
-  in
-  QCheck.make
-    ~print:(fun b -> to_string b)
-    ~shrink:(fun b ->
-      QCheck.Iter.map
-        (fun plan -> { b with plan })
-        (QCheck.Shrink.list ~shrink:spec_shrink b.plan))
-    gen

@@ -204,6 +204,18 @@ val tau_bound : t -> time
 val watchdog_settle : t -> time
 val watchdog_bound : t -> int
 
+val target_stack :
+  Stacks.etob_impl -> recovery:bool -> ae:bool -> t -> stack
+(** The explorer's stack selection over a builder's mutations and plan:
+    the anti-entropy and crash-recovery layers wrap Algorithm 5 only.
+    [target_stack impl ~recovery ~ae t] is [Recoverable] when [impl] is
+    Algorithm 5 and [recovery] is set, a recovery mutation is seeded or
+    the plan carries recovery adversities; otherwise [Etob_ae] when [ae]
+    is set or an anti-entropy mutation is seeded; otherwise [Etob impl].
+    [Recoverable] carries the same anti-entropy choice.  Used by
+    [Explore.Explorer.builder_of] and by {!of_lines} on legacy repro
+    files. *)
+
 val setup_of : t -> Stacks.setup
 (** The engine setup this builder denotes: base, then the [omega]/[sink]
     clauses, then the plan ({!Adversity.apply}), then the boosts. *)
@@ -267,8 +279,9 @@ val header : string
 (** ["ecsim-spec v1"]. *)
 
 val legacy_header : string
-(** ["ecsim-explore-repro v1"]; {!of_lines} accepts this too, mapping the
-    repro fields onto builder clauses so legacy files replay
+(** ["ecsim-explore-repro v1"]; {!of_lines} accepts this too, reading
+    the repro's explorer-target fields as the v1 clauses
+    [Explore.Explorer.builder_of] writes, so legacy files replay
     byte-identically. *)
 
 val to_lines : ?digest:string -> ?violations:string list -> t -> string list
@@ -322,33 +335,3 @@ val append_binary_spec :
 val binary_spec : string -> (string, string) result
 (** Read a binary trace file and return its embedded spec text (the last
     spec record), ready for {!of_string} / {!recorded_digest}. *)
-
-(** {2 QCheck generators}
-
-    The unclamped adversity generators formerly hand-rolled in
-    [test/qgen] (which now re-exports these), plus a generator of whole
-    declarative builders.  Plans are {!Adversity.make}-normalized, so the
-    roundtrip property [of_lines (to_lines b) = b] holds structurally. *)
-
-val subset_gen : int -> proc_id list QCheck.Gen.t
-val window_gen : int -> (time * time) QCheck.Gen.t
-val spec_gen : n:int -> deadline:int -> Adversity.spec QCheck.Gen.t
-val plan_gen : n:int -> deadline:int -> Adversity.t QCheck.Gen.t
-val spec_shrink : Adversity.spec -> Adversity.spec QCheck.Iter.t
-val plan_arb : n:int -> deadline:int -> Adversity.t QCheck.arbitrary
-val recovery_spec_gen : n:int -> deadline:int -> Adversity.spec QCheck.Gen.t
-val recovery_plan_gen : n:int -> deadline:int -> Adversity.t QCheck.Gen.t
-val recovery_plan_arb : n:int -> deadline:int -> Adversity.t QCheck.arbitrary
-
-val partition_loss_spec_gen :
-  n:int -> deadline:int -> Adversity.spec QCheck.Gen.t
-
-val partition_recovery_plan_gen :
-  n:int -> deadline:int -> Adversity.t QCheck.Gen.t
-
-val partition_recovery_plan_arb :
-  n:int -> deadline:int -> Adversity.t QCheck.arbitrary
-
-val arbitrary : t QCheck.arbitrary
-(** Serializable declarative builders (ETOB-family stacks, data workloads,
-    normalized plans, policy checkers); shrinks by shrinking the plan. *)

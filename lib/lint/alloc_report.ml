@@ -9,13 +9,13 @@ let to_json (r : Alloc_driver.result_t) =
          Report.finding_json
            ~extra:
              (Printf.sprintf ", \"allowed\": \"%s\""
-                (Report.json_escape reason))
+                (Persist.Frame.json_escape reason))
            f)
       r.allowed
   in
   let roots =
     List.map
-      (fun k -> Printf.sprintf "    \"%s\"" (Report.json_escape k))
+      (fun k -> Printf.sprintf "    \"%s\"" (Persist.Frame.json_escape k))
       r.hot_roots
   in
   String.concat "\n"

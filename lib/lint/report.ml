@@ -2,28 +2,12 @@
    findings — byte-identical across runs, so it can be goldened like any
    other artifact) and human file:line:col diagnostics. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | '\r' -> Buffer.add_string b "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let finding_json ~extra (f : Finding.t) =
   Printf.sprintf
     "    { \"rule\": \"%s\", \"file\": \"%s\", \"line\": %d, \"col\": %d, \
      \"message\": \"%s\"%s }"
-    (Finding.rule_id f.rule) (json_escape f.file) f.line f.col
-    (json_escape f.message) extra
+    (Finding.rule_id f.rule) (Persist.Frame.json_escape f.file) f.line f.col
+    (Persist.Frame.json_escape f.message) extra
 
 let block name items =
   if items = [] then Printf.sprintf "  \"%s\": []" name
@@ -36,7 +20,9 @@ let to_json (r : Driver.result_t) =
     List.map
       (fun (f, reason) ->
          finding_json
-           ~extra:(Printf.sprintf ", \"allowed\": \"%s\"" (json_escape reason))
+           ~extra:
+             (Printf.sprintf ", \"allowed\": \"%s\""
+                (Persist.Frame.json_escape reason))
            f)
       r.allowed
   in

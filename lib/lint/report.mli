@@ -4,9 +4,9 @@
 val to_json : Driver.result_t -> string
 
 (* Building blocks shared with alloclint's report: one finding as a
-   JSON object line ([extra] is appended inside the braces), and a
-   named JSON array block at report indent. *)
-val json_escape : string -> string
+   JSON object line ([extra] is appended inside the braces, its strings
+   escaped with [Persist.Frame.json_escape]), and a named JSON array block
+   at report indent. *)
 val finding_json : extra:string -> Finding.t -> string
 val block : string -> string list -> string
 

@@ -50,16 +50,20 @@ type event =
   | Drop of { t : int; src : int; dst : int; uid : int }
   | Crash of { t : int; proc : int }
   | Recover of { t : int; proc : int }
-      (** Mirrors the jsonl sink's event vocabulary; [v] carries the
+      (** The streaming sinks' event vocabulary ([Sink.jsonl] and
+          [Sink.binary] both encode these); [v] carries the
           already-rendered input/output text, and all integers are
           non-negative. *)
 
 val event_to_jsonl : event -> string
-(** The jsonl line for an event, byte-identical to what [Sink.jsonl]
-    emits for the same event (no trailing newline). *)
+(** The jsonl line for an event (no trailing newline): the one renderer
+    of the jsonl trace format, used by [Sink.jsonl] and {!to_jsonl}. *)
 
 val json_escape : string -> string
-(** The jsonl string escaper shared with [Sink.jsonl]. *)
+(** The one JSON string escaper: jsonl traces, lint reports and the soak
+    journal (whose decoder inverts it) all use it.  Quote, backslash,
+    newline and tab get their short escapes; other control characters
+    become [\u00XX]. *)
 
 (** {2 Trace files} *)
 

@@ -205,7 +205,7 @@ let run ~setup ~spec ~impl =
   in
   let horizon = (setup : Harness.Stacks.setup).deadline in
   { trace;
-    digest = Digest.to_hex (Digest.string (Format.asprintf "%a" Trace.pp trace));
+    digest = Trace.digest trace;
     report = Metrics.of_trace ~spec ~horizon trace;
     replicas = r;
     clients = spec.clients;

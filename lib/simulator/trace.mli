@@ -45,3 +45,7 @@ val last_time : t -> time
 
 val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit
+
+val digest : t -> string
+(** Hex MD5 of {!pp}'s text: the trace digest that spec files record and
+    replays must reproduce byte for byte. *)

@@ -1,10 +1,6 @@
 (** Shared QCheck arbitraries and shrinkers over simulator and explorer
-    domain values: failure-pattern crash lists, adversity plans and base
-    delay-model bounds.
-
-    The adversity generators are re-exports of the {!Harness.Builder}
-    ones (their home since the builder refactor); the simulator-level
-    generators stay local.
+    domain values: failure-pattern crash lists, adversity plans, whole
+    declarative builders and base delay-model bounds.
 
     Plans generated here are deliberately NOT fairness-clamped (unlike
     [Explore.Explorer.random_plan]): safety properties must hold under any
@@ -75,6 +71,14 @@ val partition_recovery_plan_gen :
 
 val partition_recovery_plan_arb :
   n:int -> deadline:int -> Adversity.spec list QCheck.arbitrary
+
+(** {1 Whole builders} *)
+
+(** Serializable declarative builders (ETOB-family stacks, data
+    workloads, normalized plans, policy checkers); shrinks by shrinking
+    the plan.  The spec-text roundtrip [of_lines (to_lines b) = b] holds
+    structurally over this space. *)
+val builder_arb : Builder.t QCheck.arbitrary
 
 (** {1 Base delay-model bounds (Net.uniform parameters)} *)
 

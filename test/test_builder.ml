@@ -15,9 +15,6 @@ module Builder = Harness.Builder
 module Adversity = Harness.Adversity
 module Stacks = Harness.Stacks
 
-let digest_of_trace trace =
-  Digest.to_hex (Digest.string (Format.asprintf "%a" Trace.pp trace))
-
 let run_digest b =
   let o = Builder.run ~digest:true b in
   o.Builder.digest
@@ -90,7 +87,7 @@ let test_ae_differential () =
     in
     let inputs = Stacks.spread_posts ~n:4 ~count:8 ~from_time:8 ~every:6 in
     let trace, _ = Stacks.run_etob_ae ~inputs setup in
-    digest_of_trace trace
+    Trace.digest trace
   in
   Alcotest.(check string) "ae stack digest" direct (run_digest decl)
 
@@ -118,7 +115,7 @@ let test_recoverable_differential () =
     in
     let inputs = Stacks.spread_posts ~n:4 ~count:12 ~from_time:8 ~every:20 in
     let trace, _, _ = Stacks.run_recoverable ~inputs setup in
-    digest_of_trace trace
+    Trace.digest trace
   in
   Alcotest.(check string) "recoverable stack digest" direct (run_digest decl)
 
@@ -137,7 +134,7 @@ let test_scenario_facade_differential () =
   in
   let via_stacks = Stacks.run_etob ~inputs setup Stacks.Algorithm_5 in
   Alcotest.(check string) "facade digest"
-    (digest_of_trace via_stacks) (digest_of_trace via_scenario)
+    (Trace.digest via_stacks) (Trace.digest via_scenario)
 
 (* ------------------------------------------------------------------ *)
 (* Text form                                                           *)
@@ -145,7 +142,7 @@ let test_scenario_facade_differential () =
 
 let prop_spec_roundtrip =
   QCheck.Test.make ~name:"builder: of_lines (to_lines b) = b" ~count:300
-    Builder.arbitrary (fun b ->
+    Qgen.builder_arb (fun b ->
         match Builder.of_lines (Builder.to_lines b) with
         | Ok b' -> b' = b
         | Error msg -> QCheck.Test.fail_reportf "parse failed: %s" msg)
@@ -341,6 +338,8 @@ let test_of_lines_names_line () =
       (spec, 10, "spike link=0>9 from=1 until=9 factor=2");
       (spec, 10, "drop from=1 until=9 pct=400");
       (spec, 10, "drop from=1 until=9 pct=0");
+      (spec, 10, "partition left=0,x from=10 until=20");
+      (spec, 8, "omega oracle stable=0 pre=blockwise:0,1;2,x");
       (legacy, 4, "n 0");
       (legacy, 6, "deadline -5");
       (legacy, 7, "timer-period 0");
@@ -349,7 +348,8 @@ let test_of_lines_names_line () =
       (legacy, 10, "base-max 0");
       (legacy, 11, "plan -2");
       (legacy, 12, "crash p=9 at=5");
-      (legacy, 12, "drop from=1 until=9 pct=400") ]
+      (legacy, 12, "drop from=1 until=9 pct=400");
+      (legacy, 12, "partition left=0,x from=10 until=20") ]
 
 (* ------------------------------------------------------------------ *)
 

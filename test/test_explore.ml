@@ -272,6 +272,84 @@ let prop_target_of_inverts_builder_of =
        | Ok t' -> Explorer.builder_of t' ~seed [] = b
        | Error msg -> QCheck.Test.fail_reportf "target_of rejected: %s" msg)
 
+(* The explorer's target-to-builder mapping is the legacy reader's
+   oracle: an explorer target written as a legacy repro (header lines in
+   any order, any of them left out to take its legacy default) reads back
+   as exactly the builder [builder_of] makes of it, over all three
+   mutation namespaces, recovery/anti-entropy/watchdog on and off, and
+   plans with and without recovery adversities. *)
+let legacy_text (t : Explorer.target) ~seed ~keep ~order plan =
+  let mutant name = function None -> "none" | Some m -> name m in
+  let on_off b = if b then "on" else "off" in
+  let headers =
+    [ "impl " ^ Builder.stack_name (Builder.Etob t.Explorer.impl);
+      "mutant " ^ mutant Etob_omega.mutation_name t.Explorer.mutation;
+      "rmutant " ^ mutant Recoverable.mutation_name t.Explorer.rmutation;
+      "ae-mutant " ^ mutant Anti_entropy.mutation_name t.Explorer.ae_mutation;
+      Printf.sprintf "n %d" t.Explorer.n;
+      Printf.sprintf "seed %d" seed;
+      Printf.sprintf "deadline %d" t.Explorer.deadline;
+      Printf.sprintf "timer-period %d" t.Explorer.timer_period;
+      Printf.sprintf "posts %d" t.Explorer.posts;
+      Printf.sprintf "base-min %d" t.Explorer.base_min;
+      Printf.sprintf "base-max %d" t.Explorer.base_max;
+      "recovery " ^ on_off t.Explorer.recovery;
+      "ae " ^ on_off t.Explorer.ae;
+      "watchdog " ^ on_off t.Explorer.watchdog ]
+  in
+  let kept =
+    List.filteri (fun i _ -> List.nth keep i) (List.combine order headers)
+  in
+  String.concat "\n"
+    ([ Builder.legacy_header ]
+     @ List.map snd (List.sort compare kept)
+     @ [ Printf.sprintf "plan %d" (List.length plan) ]
+     @ Adversity.to_lines plan
+     @ [ "end" ])
+
+let prop_legacy_reads_as_builder_of =
+  let gen =
+    let open QCheck.Gen in
+    let* t, seed = target_gen in
+    let* keep = list_repeat 14 bool in
+    let* order = list_repeat 14 int in
+    (* An omitted header takes the legacy default: the default target's
+       field, seed 0. *)
+    let pick i v d = if List.nth keep i then v else d in
+    let d = Explorer.default_target in
+    let t =
+      { Explorer.impl = pick 0 t.Explorer.impl d.Explorer.impl;
+        mutation = pick 1 t.Explorer.mutation d.Explorer.mutation;
+        rmutation = pick 2 t.Explorer.rmutation d.Explorer.rmutation;
+        ae_mutation = pick 3 t.Explorer.ae_mutation d.Explorer.ae_mutation;
+        n = pick 4 t.Explorer.n d.Explorer.n;
+        deadline = pick 6 t.Explorer.deadline d.Explorer.deadline;
+        timer_period = pick 7 t.Explorer.timer_period d.Explorer.timer_period;
+        posts = pick 8 t.Explorer.posts d.Explorer.posts;
+        base_min = pick 9 t.Explorer.base_min d.Explorer.base_min;
+        base_max = pick 10 t.Explorer.base_max d.Explorer.base_max;
+        recovery = pick 11 t.Explorer.recovery d.Explorer.recovery;
+        ae = pick 12 t.Explorer.ae d.Explorer.ae;
+        watchdog = pick 13 t.Explorer.watchdog d.Explorer.watchdog }
+    in
+    let seed = pick 5 seed 0 in
+    let* plan =
+      oneof
+        [ return [];
+          Qgen.plan_gen ~n:t.Explorer.n ~deadline:t.Explorer.deadline;
+          Qgen.recovery_plan_gen ~n:t.Explorer.n ~deadline:t.Explorer.deadline ]
+    in
+    return (legacy_text t ~seed ~keep ~order plan, (t, seed, plan))
+  in
+  QCheck.Test.make ~name:"explorer: legacy repro text reads as builder_of"
+    ~count:300
+    (QCheck.make ~print:fst gen)
+    (fun (text, (t, seed, plan)) ->
+       match Builder.of_string text with
+       | Ok b ->
+         Builder.to_lines b = Builder.to_lines (Explorer.builder_of t ~seed plan)
+       | Error msg -> QCheck.Test.fail_reportf "legacy parse: %s" msg)
+
 (* A spec exploration cannot express is rejected with the clause named,
    instead of being explored as a different run. *)
 let test_target_of_names_the_clause () =
@@ -470,9 +548,11 @@ let impls =
   [ Stacks.Algorithm_5; Stacks.Paxos_baseline; Stacks.Algorithm_1_over_4 ]
 
 let final_run impl ~seed =
-  let t = { Explorer.default_target with Explorer.impl } in
-  let setup = Explorer.base_setup t ~seed in
-  let trace = Scenario.run_etob ~inputs:(Explorer.inputs t) setup impl in
+  let b =
+    Explorer.builder_of { Explorer.default_target with Explorer.impl } ~seed []
+  in
+  let setup = Builder.setup_of b in
+  let trace = Scenario.run_etob ~inputs:(Builder.inputs b) setup impl in
   Properties.etob_run_of_trace setup.Stacks.pattern trace
 
 let sorted_ids run proc =
@@ -509,7 +589,8 @@ let test_impls_clean_on_empty_plan () =
        let t = { Explorer.default_target with Explorer.impl } in
        let o = Explorer.run_plan t ~seed:1 [] in
        Alcotest.(check (list string))
-         (Explorer.impl_name impl ^ ": clean on the empty plan") []
+         (Builder.stack_name (Builder.Etob impl) ^ ": clean on the empty plan")
+         []
          o.Explorer.violations)
     impls
 
@@ -543,7 +624,9 @@ let () =
            test_explore_finds_ae_mutant;
          Alcotest.test_case "target_of names the clause" `Quick
            test_target_of_names_the_clause ]
-       @ qc [ prop_target_of_inverts_builder_of ]);
+       @ qc
+           [ prop_target_of_inverts_builder_of;
+             prop_legacy_reads_as_builder_of ]);
       ("recovery",
        [ Alcotest.test_case "finds recovery mutants" `Quick
            test_explore_finds_recovery_mutants;

@@ -428,7 +428,7 @@ let test_shrunk_finding_replays_from_binary () =
   let gen i =
     (* detlint: allow D1 the state is derived from the fixed seed and the plan index, so every exploration step replays deterministically *)
     let rand = Random.State.make [| 0x5eed; i |] in
-    mk (QCheck.Gen.generate1 ~rand (Builder.plan_gen ~n ~deadline))
+    mk (QCheck.Gen.generate1 ~rand (Qgen.plan_gen ~n ~deadline))
   in
   let e = Builder.explore ~gen ~budget:200 () in
   match e.Builder.found with
